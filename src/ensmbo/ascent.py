@@ -11,7 +11,7 @@ arguments.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -23,7 +23,6 @@ from .combine import (
     GradientSet,
     combine_mean,
     combine_min,
-    normalize_gradient_set,
     solve_cagrad_dual,
     solve_mgda_dual,
 )
@@ -34,7 +33,7 @@ from .core import (
     normalize_design,
     tokens_to_onehot,
 )
-from .nn import Ensemble, MlpModel
+from .nn import Ensemble, mlp_value_and_grad, stack_mlps
 
 
 class Combiner(Enum):
@@ -52,10 +51,6 @@ class AscentConfig:
     combiner: Combiner = Combiner.MEAN
     cagrad_c: float = 0.5
     record_trajectory: bool = False
-    harden_every_step: bool = False
-    clip_radius: float | None = None
-    normalize_grads: bool = False
-    solver_tol: float = 1e-8
 
     def __post_init__(self):
         if self.steps < 0:
@@ -64,8 +59,6 @@ class AscentConfig:
             raise ValueError("alpha must be positive")
         if self.combiner is Combiner.CAGRAD:
             CagradConfig(self.cagrad_c)  # validate range
-        if self.clip_radius is not None and self.clip_radius <= 0:
-            raise ValueError("clip_radius must be positive when set")
 
 
 @dataclass(eq=False)
@@ -79,7 +72,6 @@ class Trajectory:
     """
 
     final: np.ndarray
-    steps: int
     xs: np.ndarray | None = None
     preds: np.ndarray | None = None
     d_norms: np.ndarray | None = None
@@ -103,20 +95,14 @@ def harden_discrete(x: np.ndarray, space: DesignSpace) -> np.ndarray:
 class _ModelBank:
     """Per-step evaluator for all ensemble members at one point.
 
-    Same-architecture MLPs get a stacked einsum path (one numpy call per
-    layer instead of one per model); anything else falls back to calling
-    each model's ``value_and_grad``.
+    Same-shaped MLPs run as one stacked network (one numpy call per layer
+    instead of one per model); anything else falls back to calling each
+    model's ``value_and_grad``.
     """
 
     def __init__(self, models):
         self.models = models
-        self.stacked = None
-        if all(isinstance(m, MlpModel) for m in models):
-            shapes = {tuple(w.shape for w in m.weights) for m in models}
-            if len(shapes) == 1:
-                ws = [np.stack([m.weights[l] for m in models]) for l in range(len(models[0].weights))]
-                bs = [np.stack([m.biases[l] for m in models]) for l in range(len(models[0].biases))]
-                self.stacked = (ws, bs)
+        self.stacked = stack_mlps(models)
 
     def value_and_grad(self, x: np.ndarray):
         if self.stacked is None:
@@ -125,19 +111,8 @@ class _ModelBank:
             for i, mdl in enumerate(self.models):
                 vals[i], grads[i] = mdl.value_and_grad(x)
             return vals, grads
-        ws, bs = self.stacked
-        m = ws[0].shape[0]
-        a = np.broadcast_to(x, (m, x.shape[0]))
-        pre = []
-        for w, b in zip(ws[:-1], bs[:-1]):
-            z = np.einsum("mi,mio->mo", a, w) + b
-            pre.append(z)
-            a = np.maximum(z, 0.0)
-        vals = (np.einsum("mi,mio->mo", a, ws[-1]) + bs[-1])[:, 0]
-        delta = ws[-1][:, :, 0]
-        for w, z in zip(reversed(ws[:-1]), reversed(pre)):
-            delta = np.einsum("mio,mo->mi", w, delta * (z > 0.0))
-        return vals, delta
+        out, grads = mlp_value_and_grad(*self.stacked, x[None, :])
+        return out[:, 0, 0], grads[:, 0]
 
 
 def _to_opt_repr(start: np.ndarray, space: DesignSpace) -> np.ndarray:
@@ -157,8 +132,6 @@ def _to_opt_repr(start: np.ndarray, space: DesignSpace) -> np.ndarray:
 
 
 def _combine(gs: GradientSet, cfg: AscentConfig, warm: dict) -> CombinedGradient:
-    if cfg.normalize_grads:
-        gs = normalize_gradient_set(gs)
     if cfg.combiner is Combiner.SINGLE:
         return CombinedGradient(d=gs.grads[0].copy())
     if cfg.combiner is Combiner.MEAN:
@@ -166,9 +139,9 @@ def _combine(gs: GradientSet, cfg: AscentConfig, warm: dict) -> CombinedGradient
     if cfg.combiner is Combiner.MIN:
         return combine_min(gs)
     if cfg.combiner is Combiner.MGDA:
-        out = solve_mgda_dual(gs, tol=cfg.solver_tol, w0=warm.get("w"))
+        out = solve_mgda_dual(gs, w0=warm.get("w"))
     else:
-        out = solve_cagrad_dual(gs, CagradConfig(cfg.cagrad_c), tol=cfg.solver_tol, w0=warm.get("w"))
+        out = solve_cagrad_dual(gs, CagradConfig(cfg.cagrad_c), w0=warm.get("w"))
     if out.weights is not None:
         warm["w"] = out.weights.w
     return out
@@ -203,14 +176,6 @@ def ascend(start: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentConf
             preds.append(vals)
             d_norms.append(float(np.linalg.norm(d)))
         x = stepped
-        if space.is_discrete and cfg.harden_every_step:
-            x = harden_discrete(x, space)
-        if not space.is_discrete and cfg.clip_radius is not None:
-            r = float(np.linalg.norm(x))
-            if r > cfg.clip_radius:
-                x = x * (cfg.clip_radius / r)
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError(f"non-finite iterate at step {k}")
 
     if record:
         vals, grads = bank.value_and_grad(x)
@@ -222,7 +187,6 @@ def ascend(start: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentConf
     final = harden_discrete(x, space) if space.is_discrete else denormalize_design(x, space)
     return Trajectory(
         final=final,
-        steps=cfg.steps,
         xs=np.asarray(xs) if record else None,
         preds=np.asarray(preds) if record else None,
         d_norms=np.asarray(d_norms) if record else None,

@@ -142,16 +142,6 @@ def improvement_rate(gs: GradientSet, d: np.ndarray) -> float:
     return float(np.min(gs.grads @ d))
 
 
-def normalize_gradient_set(gs: GradientSet) -> GradientSet:
-    """Rescale each gradient to unit norm (zero gradients stay zero).
-
-    Optional preprocessing, off by default in experiments.
-    """
-    norms = np.linalg.norm(gs.grads, axis=1, keepdims=True)
-    scaled = np.where(norms > 0.0, gs.grads / np.maximum(norms, 1e-300), gs.grads)
-    return GradientSet(grads=scaled, values=gs.values)
-
-
 # ---------------------------------------------------------------------------
 # Simplex machinery
 # ---------------------------------------------------------------------------

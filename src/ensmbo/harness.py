@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ import numpy as np
 from .ascent import AscentConfig, Combiner, ascend_batch, write_trajectory_csv
 from .core import (
     Dataset,
+    DesignSpace,
     ScoreSummary,
     normalize_design,
     normalize_score,
@@ -38,7 +39,7 @@ from .core import (
     summarize_scores,
     write_dataset_csv,
 )
-from .nn import Ensemble, TrainConfig, load_ensemble, save_ensemble, train_ensemble
+from .nn import Ensemble, TrainConfig, mlp_forward, save_ensemble, stack_mlps, train_ensemble
 from .tasks import TASK_REGISTRY, TaskSpec, evaluate_oracle, export_task_csv, get_task, ingest_csv
 
 ALGORITHMS = ("single", "mean", "min", "mgda", "cagrad")
@@ -100,29 +101,7 @@ class ExperimentConfig:
         return TASK_DEFAULTS.get(self.task, {}).get("cagrad_c", 0.5)
 
     def to_dict(self) -> dict:
-        d = {
-            "task": self.task,
-            "task_seed": self.task_seed,
-            "k_fraction": self.k_fraction,
-            "ensemble_size": self.ensemble_size,
-            "n_candidates": self.n_candidates,
-            "steps": self.steps,
-            "alpha": self.alpha,
-            "cagrad_c": self.cagrad_c,
-            "algorithms": list(self.algorithms),
-            "run_seeds": list(self.run_seeds),
-            "train": {
-                "epochs": self.train.epochs,
-                "batch_size": self.train.batch_size,
-                "learning_rate": self.train.learning_rate,
-                "weight_decay": self.train.weight_decay,
-                "seed": self.train.seed,
-                "patience": self.train.patience,
-                "hidden": list(self.train.hidden),
-            },
-            "out_dir": self.out_dir,
-        }
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -163,6 +142,7 @@ class RunReport:
     y_max: float
     baseline_norm: float
     proxy_only: bool
+    space: DesignSpace  # raw task units, as the design CSVs are written
     results: list
     val_metrics: dict
     oracle_calls: dict
@@ -215,12 +195,12 @@ def _finals_to_raw(finals, space) -> np.ndarray:
     return np.asarray(finals)
 
 
-def _proxy_scores(finals, space, ens: Ensemble) -> list[float]:
-    scores = []
-    for f in finals:
-        x = np.asarray(f, dtype=np.float64) if space.is_discrete else normalize_design(f, space)
-        scores.append(float(np.mean([m.forward(x) for m in ens.models])))
-    return scores
+def _proxy_scores(finals, space, ens: Ensemble) -> np.ndarray:
+    """Mean ensemble prediction of each final design."""
+    X = np.array([f if space.is_discrete else normalize_design(f, space) for f in finals],
+                 dtype=np.float64)
+    out, _ = mlp_forward(*stack_mlps(ens.models), X)
+    return out[:, :, 0].mean(axis=0)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -260,7 +240,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                     raise RuntimeError("oracle was touched outside the evaluation stage")
                 scores = np.asarray(evaluate_oracle(task, finals))
             else:
-                scores = np.asarray(_proxy_scores(finals, space_run, ens))
+                scores = _proxy_scores(finals, space_run, ens)
             summary = summarize_scores(scores).with_normalized(task.y_min, task.y_max)
             results.append(
                 AlgoResult(
@@ -292,6 +272,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         y_max=task.y_max,
         baseline_norm=baseline_norm,
         proxy_only=task.oracle is None,
+        space=task.space,
         results=results,
         val_metrics=val_metrics,
         oracle_calls={"training_and_ascent": 0, "evaluation": eval_calls},
@@ -411,10 +392,9 @@ def run_dir_for(cfg: ExperimentConfig, out_base: str | None = None) -> Path:
 
 def persist_report(report: RunReport, cfg: ExperimentConfig, run_dir: Path) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
-    space = _resolve_task(cfg.task, cfg.task_seed).space
     for r in report.results:
         path = run_dir / f"designs_{r.algorithm}_seed{r.run_seed}.csv"
-        ds = Dataset(space=space, designs=r.finals_raw, scores=r.scores)
+        ds = Dataset(space=report.space, designs=r.finals_raw, scores=r.scores)
         write_dataset_csv(ds, path, report.y_min, report.y_max)
     for rs, ens in report.ensembles.items():
         save_ensemble(ens, run_dir / f"ensemble_seed{rs}.bin")
@@ -431,7 +411,8 @@ def persist_report(report: RunReport, cfg: ExperimentConfig, run_dir: Path) -> N
         "cagrad_c": report.cagrad_c,
         "oracle_calls": report.oracle_calls,
         "val_metrics": {
-            str(rs): [[None if v is None else float(v) for v in pair] for pair in pairs]
+            # null, not a bare NaN, for a metric undefined on constant targets
+            str(rs): [[None if v is None or np.isnan(v) else float(v) for v in pair] for pair in pairs]
             for rs, pairs in report.val_metrics.items()
         },
         "summaries": {
@@ -462,9 +443,11 @@ def load_report(run_dir) -> RunReport:
     payload = json.loads((run_dir / "results.json").read_text(encoding="utf-8"))
     cfg = ExperimentConfig.from_dict(payload["config"])
     results = []
+    space = None
     for alg in payload["algorithms"]:
         for rs in payload["run_seeds"]:
             ds, _meta = read_dataset_csv(run_dir / f"designs_{alg}_seed{rs}.csv")
+            space = ds.space
             summary = summarize_scores(ds.scores).with_normalized(payload["y_min"], payload["y_max"])
             results.append(
                 AlgoResult(
@@ -491,6 +474,7 @@ def load_report(run_dir) -> RunReport:
         y_max=payload["y_max"],
         baseline_norm=payload["baseline_norm"],
         proxy_only=payload["proxy_only"],
+        space=space,
         results=results,
         val_metrics={int(k): v for k, v in payload["val_metrics"].items()},
         oracle_calls=payload["oracle_calls"],
@@ -573,6 +557,7 @@ def _experiment_config(args) -> ExperimentConfig:
         cagrad_c=getattr(args, "cagrad_c", None) if getattr(args, "cagrad_c", None) is not None else cfg.cagrad_c,
         algorithms=algorithms,
         run_seeds=run_seeds,
+        train=train,
         out_dir=args.out or cfg.out_dir,
     )
 
@@ -625,14 +610,12 @@ def cmd_tune(args) -> int:
     task, mbo, space_run = _mbo_for(args)
     calls_before = task.oracle.calls if task.oracle is not None else 0
     ens = train_ensemble(mbo, args.m, _train_config(args))
-    defaults = TASK_DEFAULTS.get(args.task, {})
-    alpha = args.alpha if args.alpha is not None else defaults.get("alpha", 0.05)
-    cagrad_c = args.cagrad_c if args.cagrad_c is not None else defaults.get("cagrad_c", 0.5)
+    exp = ExperimentConfig(task=args.task, alpha=args.alpha, cagrad_c=args.cagrad_c)
     acfg = AscentConfig(
         steps=args.steps,
-        alpha=alpha,
+        alpha=exp.resolved_alpha(),
         combiner=Combiner(args.combiner),
-        cagrad_c=cagrad_c,
+        cagrad_c=exp.resolved_cagrad_c(),
         record_trajectory=True,
     )
     starts = select_top_n(mbo, min(args.n_trajectories, len(mbo)))

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,52 +53,73 @@ class MlpModel:
         return x
 
     def forward(self, x: np.ndarray) -> float:
-        x = self._check_input(x)
-        a = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(a @ w + b, 0.0)
-        out = a @ self.weights[-1] + self.biases[-1]
+        out, _ = mlp_forward(self.weights, self.biases, self._check_input(x))
         return float(out[0])
 
     def forward_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError("batch has wrong shape")
-        a = X
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(a @ w + b, 0.0)
-        return (a @ self.weights[-1] + self.biases[-1])[:, 0]
+        return mlp_forward(self.weights, self.biases, X)[0][:, 0]
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Scalar output and its exact reverse-mode gradient wrt the input.
 
         ReLU uses subgradient 0 where the pre-activation is exactly 0.
         """
-        x = self._check_input(x)
-        acts = [x]
-        pre = []
-        a = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = a @ w + b
-            pre.append(z)
-            a = np.maximum(z, 0.0)
-            acts.append(a)
-        out = a @ self.weights[-1] + self.biases[-1]
-        # backward pass
-        delta = self.weights[-1][:, 0].copy()
-        for w, z in zip(reversed(self.weights[:-1]), reversed(pre)):
-            delta = w @ (delta * (z > 0.0))
-        return float(out[0]), delta
+        out, grad = mlp_value_and_grad(self.weights, self.biases, self._check_input(x))
+        return float(out[0]), grad
 
     def input_gradient(self, x: np.ndarray) -> np.ndarray:
         return self.value_and_grad(x)[1]
 
-    def lipschitz_bound(self) -> float:
-        """Product of layer spectral norms; a global Lipschitz constant."""
-        c = 1.0
-        for w in self.weights:
-            c *= float(np.linalg.norm(w, 2))
-        return c
+
+# ---------------------------------------------------------------------------
+# The forward/backward kernel
+# ---------------------------------------------------------------------------
+#
+# Written with ``@`` only, so one code path serves a single model (weights
+# (d_in, d_out), biases (d_out,), input (d,) or (B, d)) and a stacked
+# ensemble (weights (m, d_in, d_out), biases (m, 1, d_out), input (B, d)).
+# numpy runs a stacked product as one BLAS call per member with the same
+# shapes and strides as the single-model product, so both give the same
+# bits.
+
+
+def mlp_forward(weights, biases, x):
+    """Network output and the input of every layer (``acts[0]`` is ``x``)."""
+    acts = [x]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    return acts[-1] @ weights[-1] + biases[-1], acts
+
+
+def mlp_backward(weights, acts, d_out):
+    """Sensitivity of every layer's pre-activation output, given ``d_out``
+    (the sensitivity of the network output)."""
+    deltas = [d_out]
+    for w, a in zip(reversed(weights[1:]), reversed(acts[1:])):
+        deltas.append((deltas[-1] @ np.swapaxes(w, -1, -2)) * (a > 0.0))
+    return deltas[::-1]
+
+
+def mlp_value_and_grad(weights, biases, x):
+    """Network output and its gradient wrt the input ``x``."""
+    out, acts = mlp_forward(weights, biases, x)
+    delta = mlp_backward(weights, acts, np.ones_like(out))[0]
+    return out, delta @ np.swapaxes(weights[0], -1, -2)
+
+
+def stack_mlps(models):
+    """Parameters of same-shaped MLPs stacked for the kernel, or None when the
+    members are not all MLPs of one shape."""
+    if not all(isinstance(m, MlpModel) for m in models):
+        return None
+    if len({tuple(w.shape for w in m.weights) for m in models}) != 1:
+        return None
+    weights = [np.stack(ws) for ws in zip(*(m.weights for m in models))]
+    biases = [np.stack(bs)[:, None, :] for bs in zip(*(m.biases for m in models))]
+    return weights, biases
 
 
 def init_mlp(input_dim: int, hidden=DEFAULT_HIDDEN, rng: np.random.Generator | None = None) -> MlpModel:
@@ -181,7 +201,10 @@ def train_arrays(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] < cfg.batch_size:
-        raise ValueError("need at least batch_size training rows")
+        raise ValueError(
+            f"need at least batch_size training rows: got {X.shape[0]} rows for batch_size "
+            f"{cfg.batch_size}; set train.batch_size in an `ensmbo run --config` file"
+        )
     rng = np.random.default_rng(cfg.seed)
     if X_val is None:
         n_val = max(1, X.shape[0] // 10)
@@ -207,32 +230,17 @@ def train_arrays(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
             idx = order[start:start + cfg.batch_size]
             xb, yb = X[idx], y[idx]
             with np.errstate(over="ignore", invalid="ignore"):
-                # forward with cached activations
-                acts = [xb]
-                pre = []
-                a = xb
-                for w, b in zip(model.weights[:-1], model.biases[:-1]):
-                    z = a @ w + b
-                    pre.append(z)
-                    a = np.maximum(z, 0.0)
-                    acts.append(a)
-                pred = (a @ model.weights[-1] + model.biases[-1])[:, 0]
+                out, acts = mlp_forward(model.weights, model.biases, xb)
+                pred = out[:, 0]
                 loss = np.mean((pred - yb) ** 2)
                 if not np.isfinite(loss):
                     raise FloatingPointError(
                         f"non-finite training loss at epoch {epoch}, batch offset {start}"
                     )
-                # backward
                 dpred = (2.0 / idx.shape[0]) * (pred - yb)
-                delta = dpred[:, None]
-                grads_w = [None] * len(model.weights)
-                grads_b = [None] * len(model.biases)
-                grads_w[-1] = acts[-1].T @ delta
-                grads_b[-1] = delta.sum(axis=0)
-                for layer in range(len(model.weights) - 2, -1, -1):
-                    delta = (delta @ model.weights[layer + 1].T) * (pre[layer] > 0.0)
-                    grads_w[layer] = acts[layer].T @ delta
-                    grads_b[layer] = delta.sum(axis=0)
+                deltas = mlp_backward(model.weights, acts, dpred[:, None])
+                grads_w = [a.T @ delta for a, delta in zip(acts, deltas)]
+                grads_b = [delta.sum(axis=0) for delta in deltas]
                 if cfg.weight_decay:
                     for gw, w in zip(grads_w, model.weights):
                         gw += cfg.weight_decay * w
@@ -384,10 +392,3 @@ def load_ensemble(path) -> Ensemble:
                                    val_mse=mh["val_mse"], val_spearman=mh["val_spearman"]))
     return Ensemble(models=models)
 
-
-def save_model(model: MlpModel, path) -> None:
-    save_ensemble(Ensemble(models=[model]), path)
-
-
-def load_model(path) -> MlpModel:
-    return load_ensemble(path).models[0]

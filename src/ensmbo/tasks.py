@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -37,16 +36,10 @@ from .core import (
 )
 
 
-class OracleKind(Enum):
-    EXACT_LOOKUP = "exact_lookup"
-    EXACT_ANALYTIC = "exact_analytic"
-
-
 @dataclass(eq=False)
 class Oracle:
     """Deterministic ground-truth evaluator with an instrumented call counter."""
 
-    kind: OracleKind
     fn: object  # raw design row -> float
     _calls: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -73,7 +66,6 @@ class TaskSpec:
     space: DesignSpace
     oracle: Oracle | None
     seed: int
-    total_size: int
     y_min: float
     y_max: float
     params: dict = field(default_factory=dict)
@@ -82,6 +74,10 @@ class TaskSpec:
     def __post_init__(self):
         if not (self.y_min < self.y_max):
             raise ValueError("task needs y_min < y_max")
+
+    @property
+    def total_size(self) -> int:
+        return len(self.total_dataset())
 
     def total_dataset(self) -> Dataset:
         if self._total is None:
@@ -167,14 +163,13 @@ def make_minibind(seed: int) -> TaskSpec:
     def lookup(design: np.ndarray) -> float:
         return float(scores[int(design @ powers)])
 
-    oracle = Oracle(kind=OracleKind.EXACT_LOOKUP, fn=lookup)
+    oracle = Oracle(fn=lookup)
     total = Dataset(space=space, designs=tokens, scores=scores)
     return TaskSpec(
         name="minibind",
         space=space,
         oracle=oracle,
         seed=seed,
-        total_size=len(total),
         y_min=float(scores.min()),
         y_max=float(scores.max()),
         params={"A": a, "B": b},
@@ -222,14 +217,13 @@ def make_ridge(seed: int, dim: int = 16) -> TaskSpec:
 
     mean, std = stats_from_designs(designs)
     space = DesignSpace.continuous(dim, mean=mean, std=std)
-    oracle = Oracle(kind=OracleKind.EXACT_ANALYTIC, fn=score_one)
+    oracle = Oracle(fn=score_one)
     total = Dataset(space=space, designs=designs, scores=scores)
     return TaskSpec(
         name="ridge",
         space=space,
         oracle=oracle,
         seed=seed,
-        total_size=len(total),
         y_min=float(scores.min()),
         y_max=float(scores.max()),
         params={"u": u, "k": k, "beta": RIDGE_BETA},
@@ -265,14 +259,13 @@ def make_bowl(seed: int, dim: int = 4) -> TaskSpec:
 
     mean, std = stats_from_designs(designs)
     space = DesignSpace.continuous(dim, mean=mean, std=std)
-    oracle = Oracle(kind=OracleKind.EXACT_ANALYTIC, fn=score_one)
+    oracle = Oracle(fn=score_one)
     total = Dataset(space=space, designs=designs, scores=scores)
     return TaskSpec(
         name="bowl",
         space=space,
         oracle=oracle,
         seed=seed,
-        total_size=len(total),
         y_min=float(scores.min()),
         y_max=float(scores.max()),
         params={"x_star": x_star},
@@ -313,7 +306,6 @@ def ingest_csv(csv_path, meta_path=None) -> tuple[TaskSpec, Dataset]:
         space=ds.space,
         oracle=None,
         seed=0,
-        total_size=len(ds),
         y_min=float(meta["y_min_total"]),
         y_max=float(meta["y_max_total"]),
         _total=ds,

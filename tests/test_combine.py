@@ -11,7 +11,6 @@ from ensmbo.combine import (
     combine_mean,
     combine_min,
     improvement_rate,
-    normalize_gradient_set,
     project_to_simplex,
     solve_cagrad_dual,
     solve_cagrad_primal_reference,
@@ -92,12 +91,6 @@ def test_improvement_rate():
     assert improvement_rate(gs, np.array([1.0, 1.0])) == 1.0
     with pytest.raises(ValueError):
         improvement_rate(gs, np.array([1.0, np.nan]))
-
-
-def test_normalize_gradient_set():
-    gs = normalize_gradient_set(gset([[3.0, 4.0], [0.0, 0.0]]))
-    assert np.allclose(np.linalg.norm(gs.grads[0]), 1.0)
-    assert np.array_equal(gs.grads[1], [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

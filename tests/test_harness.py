@@ -5,7 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ensmbo.core import normalize_score, read_dataset_csv, select_bottom_fraction, summarize_scores
+from ensmbo.core import (
+    Dataset,
+    DesignSpace,
+    normalize_score,
+    read_dataset_csv,
+    select_bottom_fraction,
+    summarize_scores,
+    write_dataset_csv,
+)
 from ensmbo.harness import (
     ALGORITHMS,
     ExperimentConfig,
@@ -317,3 +325,50 @@ def test_proxy_only_run_from_csv(tmp_path, capsys):
     assert report.proxy_only
     assert report.oracle_calls["evaluation"] == 0
     assert "UNVERIFIED" in report_markdown(report)
+
+
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"bare {name} in {path.name}")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+def _csv_task(path, scores, dim=4):
+    rng = np.random.default_rng(0)
+    scores = np.asarray(scores, dtype=np.float64)
+    designs = rng.standard_normal((scores.shape[0], dim))
+    ds = Dataset(space=DesignSpace.continuous(dim), designs=designs, scores=scores)
+    write_dataset_csv(ds, path, float(scores.min()), float(scores.max()))
+    return path
+
+
+def test_cli_run_honours_epochs(tmp_path):
+    assert cli_main([
+        "run", "--task", "bowl", "--epochs", "1", "--m", "2", "--steps", "1",
+        "--n-candidates", "4", "--out", str(tmp_path),
+    ]) == 0
+    payload = _strict_json(tmp_path / "bowl-s0" / "results.json")
+    assert payload["config"]["train"]["epochs"] == 1
+
+
+def test_constant_validation_targets_write_null_not_nan(tmp_path):
+    # the bottom half of the scores is all zeros, so every validation fold is constant
+    csv_path = _csv_task(tmp_path / "flat.csv", [0.0] * 1200 + [1.0] * 800)
+    assert cli_main([
+        "run", "--task", str(csv_path), "--epochs", "1", "--m", "2", "--steps", "1",
+        "--n-candidates", "4", "--combiner", "mean", "--out", str(tmp_path),
+    ]) == 0
+    payload = _strict_json(tmp_path / "flat-s0" / "results.json")
+    assert [rho for rho, _mse in payload["val_metrics"]["0"]] == [None, None]
+
+
+def test_small_csv_names_rows_and_batch_size(tmp_path, capsys):
+    csv_path = _csv_task(tmp_path / "small.csv", np.arange(600.0))
+    assert cli_main([
+        "run", "--task", str(csv_path), "--epochs", "1", "--steps", "1",
+        "--n-candidates", "4", "--out", str(tmp_path),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert "got 250 rows" in err and "batch_size 256" in err
+    assert "train.batch_size" in err and "--config" in err

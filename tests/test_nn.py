@@ -8,9 +8,7 @@ from ensmbo.nn import (
     TrainConfig,
     init_mlp,
     load_ensemble,
-    load_model,
     save_ensemble,
-    save_model,
     spearman,
     train,
     train_arrays,
@@ -136,16 +134,6 @@ def test_relu_kink_uses_zero_subgradient():
     )
     assert m.input_gradient(np.array([0.0])) == np.array([0.0])
     assert m.input_gradient(np.array([1.0])) == np.array([1.0])
-
-
-def test_lipschitz_bound_holds_on_samples():
-    rng = np.random.default_rng(5)
-    m = init_mlp(4, (16, 16), rng)
-    c = m.lipschitz_bound()
-    for _ in range(50):
-        x1, x2 = rng.standard_normal(4), rng.standard_normal(4)
-        lhs = abs(m.forward(x1) - m.forward(x2))
-        assert lhs <= c * np.linalg.norm(x1 - x2) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +307,6 @@ def test_spearman_errors():
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-def test_model_roundtrip_bitwise(tmp_path):
-    rng = np.random.default_rng(7)
-    m = init_mlp(5, (8, 8), rng)
-    m.val_mse, m.val_spearman = 0.125, 0.5
-    path = tmp_path / "model.bin"
-    save_model(m, path)
-    back = load_model(path)
-    for a, b in zip(m.weights + m.biases, back.weights + back.biases):
-        assert np.array_equal(a, b)
-    assert back.val_mse == 0.125 and back.val_spearman == 0.5
-
 
 def test_ensemble_roundtrip_and_resave_identical(tmp_path):
     rng = np.random.default_rng(8)
