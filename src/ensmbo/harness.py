@@ -124,6 +124,7 @@ class AlgoResult:
     scores: np.ndarray
     finals_raw: np.ndarray  # raw task units (tokens or coordinates)
     wall_clock: float
+    solver_paths: dict = field(default_factory=dict)  # MGDA/CAGrad solves: lockstep, fallback
 
 
 @dataclass(eq=False)
@@ -250,6 +251,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                     scores=scores,
                     finals_raw=_finals_to_raw(finals, space_run),
                     wall_clock=time.perf_counter() - a0,
+                    solver_paths={"lockstep": sum(t.lockstep_solves for t in trajs),
+                                  "fallback": sum(t.fallback_solves for t in trajs)},
                 )
             )
 
@@ -432,7 +435,9 @@ def persist_report(report: RunReport, cfg: ExperimentConfig, run_dir: Path) -> N
     )
     (run_dir / "report.md").write_text(report_markdown(report), encoding="utf-8")
     timings = {"train_seconds": {str(k): v for k, v in report.train_seconds.items()},
-               "algo_seconds": {f"{r.algorithm}/seed{r.run_seed}": r.wall_clock for r in report.results}}
+               "algo_seconds": {f"{r.algorithm}/seed{r.run_seed}": r.wall_clock for r in report.results},
+               "solver_paths": {f"{r.algorithm}/seed{r.run_seed}": r.solver_paths
+                                for r in report.results if any(r.solver_paths.values())}}
     (run_dir / "timings.json").write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n",
                                           encoding="utf-8")
 

@@ -83,7 +83,8 @@ class MlpModel:
 # ensemble (weights (m, d_in, d_out), biases (m, 1, d_out), input (B, d)).
 # numpy runs a stacked product as one BLAS call per member with the same
 # shapes and strides as the single-model product, so both give the same
-# bits.
+# bits.  With weights (m, 1, d_in, d_out), biases (m, 1, 1, d_out) and
+# input (1, B, 1, d), each (member, row) pair runs the one-point product.
 
 
 def mlp_forward(weights, biases, x):
@@ -351,17 +352,22 @@ def spearman(a, b) -> float:
 _MAGIC = b"ENSMBO01"
 
 
+def _metric(v):
+    """null, not a bare NaN, for a metric undefined on constant targets."""
+    return None if v is None or not np.isfinite(v) else v
+
+
 def _model_header(model: MlpModel) -> dict:
     return {
         "layers": [[list(w.shape), list(b.shape)] for w, b in zip(model.weights, model.biases)],
-        "val_mse": model.val_mse,
-        "val_spearman": model.val_spearman,
+        "val_mse": _metric(model.val_mse),
+        "val_spearman": _metric(model.val_spearman),
     }
 
 
 def save_ensemble(ens: Ensemble, path) -> None:
     header = {"version": 1, "models": [_model_header(m) for m in ens.models]}
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    blob = json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8")
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", len(blob)))

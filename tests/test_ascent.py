@@ -13,7 +13,7 @@ from ensmbo.ascent import (
 from ensmbo.core import DesignSpace, tokens_to_onehot
 from ensmbo.nn import Ensemble, MlpModel, init_mlp
 
-from helpers import QuadraticModel, linear_model
+from helpers import QuadraticModel, linear_model, reference_ascent
 
 
 def identity_space(dim):
@@ -211,6 +211,15 @@ def test_batch_failure_carries_index():
         ascend_batch([good, bad], space, ens, AscentConfig(steps=1, alpha=0.1, combiner=Combiner.MEAN))
 
 
+def test_input_dim_mismatch_errors():
+    ens = Ensemble(models=[linear_model([1.0, 1.0, 1.0])])
+    cfg = AscentConfig(steps=1, alpha=0.1, combiner=Combiner.MEAN)
+    with pytest.raises(ValueError, match="input_dim does not match the space"):
+        ascend(np.zeros(2), identity_space(2), ens, cfg)
+    with pytest.raises(RuntimeError, match=r"^trajectory 0 failed: ensemble input_dim does not match the space$"):
+        ascend_batch([np.zeros(2), np.zeros(3)], identity_space(2), ens, cfg)
+
+
 def test_batch_requires_starts():
     space = identity_space(2)
     ens = Ensemble(models=[linear_model([1.0, 1.0])])
@@ -299,3 +308,98 @@ def test_mgda_reaches_pareto_stationary_point():
     traj = ascend(start, space, ens, cfg)
     # the recorded final d is the min-norm point of the gradient hull
     assert traj.d_norms[-1] < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# lockstep batching
+# ---------------------------------------------------------------------------
+
+def _lockstep_case(discrete):
+    rng = np.random.default_rng(12 if discrete else 13)
+    space = DesignSpace.discrete(4, 3) if discrete else identity_space(5)
+    models = [init_mlp(space.flat_dim, (8,), rng) for _ in range(3)]
+    for mdl in models:
+        mdl.biases = [0.1 * rng.standard_normal(b.shape) for b in mdl.biases]
+    starts = [rng.integers(0, 3, size=4) if discrete else rng.standard_normal(5) for _ in range(9)]
+    return space, Ensemble(models=models), starts
+
+
+@pytest.mark.parametrize("discrete", [False, True])
+@pytest.mark.parametrize("combiner", list(Combiner))
+def test_batch_equals_solo_and_per_point_ascent_bitwise(combiner, discrete):
+    space, ens, starts = _lockstep_case(discrete)
+    cfg = AscentConfig(steps=12, alpha=0.3, combiner=combiner, cagrad_c=0.4, record_trajectory=True)
+    batch = ascend_batch(starts, space, ens, cfg)
+    for start, traj in zip(starts, batch):
+        solo = ascend(start, space, ens, cfg)
+        for name in ("final", "xs", "preds", "d_norms"):
+            assert np.array_equal(getattr(traj, name), getattr(solo, name)), name
+        final, xs, preds, d_norms = reference_ascent(start, space, ens, cfg)
+        assert np.array_equal(traj.final, final)
+        assert np.array_equal(traj.xs, xs)
+        assert np.array_equal(traj.preds, preds)
+        assert np.array_equal(traj.d_norms, d_norms)
+
+
+@pytest.mark.parametrize("combiner", [Combiner.MGDA, Combiner.CAGRAD])
+def test_row_result_independent_of_other_rows(combiner):
+    space, ens, starts = _lockstep_case(False)
+    cfg = AscentConfig(steps=10, alpha=0.3, combiner=combiner, cagrad_c=0.4, record_trajectory=True)
+    full = ascend_batch(starts, space, ens, cfg)
+    perm = np.random.default_rng(14).permutation(len(starts))
+    for pos, traj in zip(perm, ascend_batch([starts[i] for i in perm], space, ens, cfg)):
+        assert np.array_equal(traj.xs, full[pos].xs)
+        assert np.array_equal(traj.d_norms, full[pos].d_norms)
+    kept = [1, 4, 6]
+    for pos, traj in zip(kept, ascend_batch([starts[i] for i in kept], space, ens, cfg)):
+        assert np.array_equal(traj.xs, full[pos].xs)
+        assert np.array_equal(traj.final, full[pos].final)
+
+
+def test_solver_path_counts():
+    space, ens, starts = _lockstep_case(False)
+    cfg = AscentConfig(steps=6, alpha=0.3, combiner=Combiner.CAGRAD, record_trajectory=True)
+    for traj in ascend_batch(starts, space, ens, cfg):
+        assert traj.lockstep_solves + traj.fallback_solves == 7  # steps + the recorded final state
+    # all-zero gradients leave the lockstep path for the per-point solver
+    zero = Ensemble(models=[zero_model(2), zero_model(2)])
+    for traj in ascend_batch([np.zeros(2), np.ones(2)], identity_space(2), zero,
+                             AscentConfig(steps=5, alpha=0.1, combiner=Combiner.MGDA)):
+        assert (traj.lockstep_solves, traj.fallback_solves) == (0, 5)
+    unsolved = ascend_batch(starts, space, ens, AscentConfig(steps=5, alpha=0.1, combiner=Combiner.MEAN))
+    assert all(t.lockstep_solves == t.fallback_solves == 0 for t in unsolved)
+
+
+class _BlowsUp:
+    """f(x) = x[0] with gradient (1, 0), non-finite from x[0] = 5.5 on."""
+
+    input_dim = 2
+
+    def value_and_grad(self, x):
+        return (float(x[0]) if x[0] < 5.5 else float("inf")), np.array([1.0, 0.0])
+
+
+def test_batch_failure_names_lowest_row_step_and_combiner():
+    ens = Ensemble(models=[_BlowsUp()])
+    starts = [np.zeros(2), np.zeros(2), np.array([2.5, 0.0]), np.zeros(2)]
+    cfg = AscentConfig(steps=5, alpha=1.0, combiner=Combiner.MEAN)
+    with pytest.raises(RuntimeError,
+                       match=r"^trajectory 2 failed at step 3 \(mean\): non-finite model output$"):
+        ascend_batch(starts, identity_space(2), ens, cfg)
+    with pytest.raises(FloatingPointError, match="non-finite model output at step 3"):
+        ascend(starts[2], identity_space(2), ens, cfg)
+    assert ascend(starts[0], identity_space(2), ens, cfg).final[0] == 5.0
+
+
+def test_batch_solver_failure_keeps_residual(monkeypatch):
+    import ensmbo.combine as combine
+
+    def no_convergence(gs, tol=1e-8, w0=None):
+        raise combine.SolverError("MGDA dual did not converge", weights=np.full(gs.m, 1.0 / gs.m), residual=0.25)
+
+    monkeypatch.setattr(combine, "solve_mgda_dual", no_convergence)
+    zero = Ensemble(models=[zero_model(2), zero_model(2)])  # forces the per-point solver
+    cfg = AscentConfig(steps=3, alpha=0.1, combiner=Combiner.MGDA)
+    with pytest.raises(RuntimeError, match=r"^trajectory 0 failed at step 0 \(mgda\): "
+                                           r"MGDA dual did not converge \(residual 2\.500e-01\)$"):
+        ascend_batch([np.zeros(2), np.ones(2)], identity_space(2), zero, cfg)

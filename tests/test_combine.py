@@ -12,8 +12,10 @@ from ensmbo.combine import (
     combine_min,
     improvement_rate,
     project_to_simplex,
+    solve_cagrad_batch,
     solve_cagrad_dual,
     solve_cagrad_primal_reference,
+    solve_mgda_batch,
     solve_mgda_dual,
     solve_mgda_primal_reference,
 )
@@ -348,3 +350,118 @@ def test_improvement_rate_of_mgda_meets_kkt_bound():
     gs = gset(np.random.default_rng(7).standard_normal((5, 8)))
     d = solve_mgda_dual(gs).d
     assert improvement_rate(gs, d) >= float(d @ d) - 1e-6 * (1.0 + float(d @ d))
+
+
+# ---------------------------------------------------------------------------
+# batched solves
+# ---------------------------------------------------------------------------
+
+def _batch_case(rng):
+    """A random gradient stack with degenerate rows planted, and warm starts
+    (sparse ones, and NaN rows that start cold)."""
+    m = int(rng.integers(1, 7))
+    n = int(rng.choice([2, 3, 4, int(rng.integers(2, 41))]))  # often m > n
+    b = int(rng.integers(3, 65))
+    grads = rng.standard_normal((b, m, n)) * np.exp(rng.standard_normal((b, m, 1)))
+    if rng.random() < 0.5:  # correlated members, as a trained ensemble's
+        grads = 0.3 * grads + rng.standard_normal((b, 1, n))
+    grads[0] = 0.0  # all-zero gradients
+    grads[-1] -= grads[-1].mean(axis=0)  # ||g0|| at rounding level
+    if m > 1:
+        grads[1, 1] = grads[1, 0]  # duplicate gradients
+        grads[2] = 0.0
+        grads[2, 0], grads[2, 1] = grads[1, 0], -grads[1, 0]  # ||g0|| = 0
+    w0 = rng.dirichlet(np.ones(m), size=b) * (rng.random((b, m)) > 0.3)
+    w0[w0.sum(axis=1) == 0.0, 0] = 1.0
+    w0 /= w0.sum(axis=1)[:, None]
+    w0[rng.random(b) < 0.2] = np.nan
+    return grads, w0
+
+
+def _assert_rows_match_per_point(out, grads, w0, solve):
+    for i in range(grads.shape[0]):
+        warm = None if np.isnan(w0[i]).any() else w0[i]
+        try:
+            ref = solve(GradientSet(grads=grads[i]), warm)
+        except Exception as exc:
+            assert type(out.errors[i]) is type(exc)
+            continue
+        assert np.array_equal(out.d[i], ref.d)
+        if ref.weights is None:
+            assert np.all(np.isnan(out.w[i]))
+        else:
+            assert np.array_equal(out.w[i], ref.weights.w)
+
+
+def test_mgda_batch_equals_per_point_solves_bitwise():
+    rng = np.random.default_rng(21)
+    lockstep = 0
+    for _ in range(30):
+        grads, w0 = _batch_case(rng)
+        out = solve_mgda_batch(grads, w0=w0)
+        _assert_rows_match_per_point(out, grads, w0, lambda gs, w: solve_mgda_dual(gs, w0=w))
+        assert out.fallback[0]  # all-zero gradients take the per-point path
+        lockstep += int((~out.fallback).sum())
+    assert lockstep > 0
+
+
+def test_cagrad_batch_equals_per_point_solves_bitwise():
+    rng = np.random.default_rng(22)
+    lockstep = 0
+    for trial in range(30):
+        grads, w0 = _batch_case(rng)
+        cfg = CagradConfig(0.0 if trial % 10 == 0 else float(rng.choice([0.3, 0.5, 0.9])))
+        out = solve_cagrad_batch(grads, cfg, w0=w0)
+        _assert_rows_match_per_point(out, grads, w0, lambda gs, w: solve_cagrad_dual(gs, cfg, w0=w))
+        assert out.fallback[0]  # ||g0|| = 0
+        if grads.shape[1] > 1:
+            assert out.fallback[2]
+        if cfg.c == 0.0:
+            assert out.fallback.all()
+        lockstep += int((~out.fallback).sum())
+    assert lockstep > 0
+
+
+def test_batch_solves_without_warm_start_and_reject_bad_input():
+    grads = np.random.default_rng(23).standard_normal((5, 3, 4))
+    cold = np.full((5, 3), np.nan)
+    out = solve_mgda_batch(grads, cold)
+    _assert_rows_match_per_point(out, grads, cold, lambda gs, w: solve_mgda_dual(gs, w0=w))
+    with pytest.raises(ValueError):
+        solve_mgda_batch(grads[0], cold[0])
+    with pytest.raises(ValueError):
+        solve_cagrad_batch(np.full((1, 2, 2), np.nan), CagradConfig(0.5), np.full((1, 2), np.nan))
+    with pytest.raises(ValueError):
+        solve_mgda_batch(grads, w0=np.ones((5, 2)))
+
+
+def test_batch_reports_per_row_errors(monkeypatch):
+    import ensmbo.combine as combine
+
+    def no_convergence(gs, tol=combine.DUAL_TOL, w0=None):
+        raise SolverError("MGDA dual did not converge", weights=np.full(gs.m, 1.0 / gs.m), residual=0.25)
+
+    monkeypatch.setattr(combine, "solve_mgda_dual", no_convergence)
+    grads = np.random.default_rng(24).standard_normal((4, 3, 5))
+    grads[:2] = 0.0  # all-zero gradients leave the lockstep path
+    out = solve_mgda_batch(grads, np.full((4, 3), np.nan))
+    assert out.fallback.tolist() == [True, True, False, False]
+    assert sorted(out.errors) == [0, 1]
+    assert all(isinstance(exc, SolverError) for exc in out.errors.values())
+    assert np.all(np.isnan(out.d[:2])) and np.all(np.isfinite(out.d[2:]))
+
+
+def test_cagrad_batch_keeps_the_per_point_zero_division():
+    # ||g0|| is nonzero, but the mean of the scaled gradients rounds to zero,
+    # so the per-point solver's lambda* = ||g_w|| / sqrt(phi) divides by zero
+    g = np.array([[float.fromhex(v) for v in row] for row in (
+        ("0x1.07682d35d1f5dp+3", "0x1.04219dbbb9de8p+2"),
+        ("0x1.94bfab08fc1c6p+2", "-0x1.2b348f886d33bp+2"),
+        ("0x1.afaa7e2c92ba2p+0", "0x1.6b860ea94e85ep+2"),
+        ("-0x1.03dea93ff12dap+4", "-0x1.44731cdc9b30ap+2"),
+    )])
+    with pytest.raises(ZeroDivisionError):
+        solve_cagrad_dual(gset(g), CagradConfig(0.5))
+    out = solve_cagrad_batch(g[None], CagradConfig(0.5), np.full((1, 4), np.nan))
+    assert out.fallback[0]
+    assert isinstance(out.errors[0], ZeroDivisionError)

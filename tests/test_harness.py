@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from ensmbo.harness import (
     run_dir_for,
     run_experiment,
 )
-from ensmbo.nn import TrainConfig
+from ensmbo.nn import TrainConfig, load_ensemble
 from ensmbo.tasks import evaluate_oracle, get_task
 
 GOLDEN = Path(__file__).parent / "data" / "minibind_golden_report.md"
@@ -361,6 +362,38 @@ def test_constant_validation_targets_write_null_not_nan(tmp_path):
     ]) == 0
     payload = _strict_json(tmp_path / "flat-s0" / "results.json")
     assert [rho for rho, _mse in payload["val_metrics"]["0"]] == [None, None]
+
+
+def test_constant_validation_targets_save_null_in_ensemble_file(tmp_path):
+    csv_path = _csv_task(tmp_path / "flat.csv", [0.0] * 1200 + [1.0] * 800)
+    assert cli_main([
+        "train", "--task", str(csv_path), "--epochs", "1", "--m", "2", "--out", str(tmp_path),
+    ]) == 0
+    path = tmp_path / "flat_ensemble_seed0.bin"
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+
+    def reject(name):
+        raise ValueError(f"bare {name} in {path.name}")
+
+    header = json.loads(blob[12:12 + hlen].decode("utf-8"), parse_constant=reject)
+    assert [mh["val_spearman"] for mh in header["models"]] == [None, None]
+    assert all(mh["val_mse"] >= 0.0 for mh in header["models"])
+    assert [m.val_spearman for m in load_ensemble(path).models] == [None, None]
+
+
+def test_timings_count_lockstep_and_fallback_solves(tmp_path, capsys):
+    assert cli_main([
+        "run", "--task", "bowl", "--seed", "1", "--m", "2", "--epochs", "2", "--steps", "3",
+        "--n-candidates", "4", "--combiner", "mean,mgda,cagrad", "--out", str(tmp_path),
+    ]) == 0
+    run_dir = tmp_path / "bowl-s1"
+    paths = _strict_json(run_dir / "timings.json")["solver_paths"]
+    assert set(paths) == {"mgda/seed1", "cagrad/seed1"}
+    for counts in paths.values():
+        assert counts["lockstep"] + counts["fallback"] == 4 * 3
+    assert "solver_paths" not in _strict_json(run_dir / "results.json")
+    assert "fallback" not in capsys.readouterr().out
 
 
 def test_small_csv_names_rows_and_batch_size(tmp_path, capsys):
