@@ -62,8 +62,8 @@ class Trajectory:
     task-unit vector for continuous ones.  When recording is on, ``xs``,
     ``preds`` and ``d_norms`` hold steps+1 states in the optimization
     representation.  ``lockstep_solves`` / ``fallback_solves`` count the
-    MGDA or CAGrad solves of this trajectory that the batched replay
-    finished and that went to the per-point solver.
+    MGDA or CAGrad solves of this trajectory that the lockstep solve
+    finished and that needed projected gradient descent.
     """
 
     final: np.ndarray

@@ -11,11 +11,12 @@ each combiner produces one update direction d:
               ||d - g0|| <= c*||g0||
 
 MGDA and CAGrad are solved through their simplex-constrained duals
-(m decision variables) with projected gradient descent plus an exact
-polish step.  Batched solves replay those per-point solvers on stacks of
-gradient sets, bit for bit.  Low-dimensional primal reference solvers
-maximize over d directly and serve as independent oracles in the test
-suite.
+(m decision variables) by one engine that solves a stack of gradient sets
+in lockstep: an exact active-set solve (MGDA) or active-set Newton
+(CAGrad), with projected gradient descent for a set it leaves above the
+residual tolerance.  The per-point solvers are its one-row case.
+Low-dimensional primal reference solvers maximize over d directly and
+serve as independent oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -164,24 +165,18 @@ def _project_rows(v):
     return np.maximum(v - theta[:, None], 0.0)
 
 
-def _pgd_simplex(value, grad, m, tol, max_iter, w0=None):
-    """Projected gradient descent with backtracking on the simplex.
-
-    Returns (w, residual) where residual is the unit-step
-    projected-gradient-mapping norm.
-    """
-    if w0 is None:
-        w = np.full(m, 1.0 / m)
-    else:
-        w = project_to_simplex(np.asarray(w0, dtype=np.float64))
+def _pgd_simplex(value, grad, w0, max_iter):
+    """Projected gradient descent with backtracking on the simplex from the
+    projection of w0, until the unit-step projected-gradient-mapping norm is
+    at most DUAL_TOL or the line search fails."""
+    w = project_to_simplex(w0)
     f = value(w)
     step = 1.0
     for _ in range(max_iter):
         g = grad(w)
         r = w - project_to_simplex(w - g)
-        residual = float(np.sqrt(r @ r))
-        if residual <= tol:
-            return w, residual
+        if float(np.sqrt(r @ r)) <= DUAL_TOL:
+            return w
         accepted = False
         for _ in range(60):
             w_new = project_to_simplex(w - step * g)
@@ -198,240 +193,12 @@ def _pgd_simplex(value, grad, m, tol, max_iter, w0=None):
             break
         w, f = w_new, f_new
         step = min(step * 2.0, 1e9)
-    r = w - project_to_simplex(w - grad(w))
-    return w, float(np.sqrt(r @ r))
-
-
-def _face_min_norm(gram: np.ndarray, support: list) -> np.ndarray:
-    """Minimize w^T gram w over sum(w)=1 restricted to a support set.
-
-    Solves the equality-KKT system; falls back to least squares when the
-    restricted Gram is singular (duplicate gradients).
-    """
-    k = len(support)
-    if k == 1:
-        return np.ones(1)
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = gram[np.ix_(support, support)]
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        sol = None
-    if sol is None or not np.all(np.isfinite(sol)) or float(np.abs(kkt @ sol - rhs).max()) > 1e-8:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    return sol[:k]
-
-
-def _mgda_active_set(gram: np.ndarray, w_start: np.ndarray) -> np.ndarray:
-    """Exact min-norm-point solve for small m, seeded by a warm iterate."""
-    m = gram.shape[0]
-
-    def objective(w):
-        return 0.5 * float(w @ gram @ w)
-
-    support = [i for i in range(m) if w_start[i] > 1e-9]
-    if not support:
-        support = [int(np.argmin(np.diag(gram)))]
-    best_w = w_start
-    best_f = objective(w_start)
-    for _ in range(4 * m + 8):
-        w_s = _face_min_norm(gram, support)
-        if w_s.min() < -1e-12:
-            if len(support) == 1:
-                break
-            support.pop(int(np.argmin(w_s)))
-            continue
-        w = np.zeros(m)
-        w[support] = np.maximum(w_s, 0.0)
-        w /= w.sum()
-        f = objective(w)
-        if f < best_f:
-            best_f, best_w = f, w
-        inner = gram @ w  # <g_i, g_w>
-        dd = float(w @ inner)
-        j = int(np.argmin(inner))
-        if inner[j] >= dd - 1e-12 * (1.0 + dd):
-            return w
-        if j in support:
-            break
-        support.append(j)
-        support.sort()
-    return best_w
-
-
-def solve_mgda_dual(gs: GradientSet, tol: float = DUAL_TOL, w0: np.ndarray | None = None) -> CombinedGradient:
-    """Min-norm point of the gradients' convex hull via the simplex dual.
-
-    The returned direction satisfies the KKT conditions
-    <g_i, d> >= ||d||^2 (within tol), with equality on the support of w.
-    ``w0`` warm-starts the solve (useful along an ascent trajectory).
-    """
-    scale = float(np.max(np.linalg.norm(gs.grads, axis=1), initial=0.0))
-    m = gs.m
-    if scale == 0.0:
-        return CombinedGradient(d=np.zeros(gs.dim), weights=SimplexWeights(np.full(m, 1.0 / m)))
-    g_hat = gs.grads / scale
-    gram = g_hat @ g_hat.T
-
-    def value(w):
-        return 0.5 * float(w @ gram @ w)
-
-    def grad(w):
-        return gram @ w
-
-    def residual_at(w):
-        r = w - project_to_simplex(w - grad(w))
-        return float(np.sqrt(r @ r))
-
-    # Exact active-set solve seeded by the warm start; PGD picks up the
-    # rare cases the combinatorial loop stalls on.
-    w_seed = project_to_simplex(np.asarray(w0, dtype=np.float64)) if w0 is not None else np.full(m, 1.0 / m)
-    w = _mgda_active_set(gram, w_seed)
-    residual = residual_at(w)
-    if residual > tol:
-        w_pgd, residual_pgd = _pgd_simplex(value, grad, m, tol, MAX_ITER, w0=w)
-        w_polished = _mgda_active_set(gram, w_pgd)
-        for cand in (w_polished, w_pgd):
-            if residual_at(cand) <= residual:
-                w, residual = cand, residual_at(cand)
-    if residual > tol:
-        raise SolverError("MGDA dual did not converge", weights=w, residual=residual)
-    d = (g_hat.T @ w) * scale
-    return CombinedGradient(d=d, weights=SimplexWeights(w))
-
-
-def _face_newton_step(g, h, free, damp):
-    """Equality-constrained Newton step on the working face (sum stays 1)."""
-    k = len(free)
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = h[np.ix_(free, free)] + damp * np.eye(k)
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[:k] = -g[free]
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    if not np.all(np.isfinite(sol)):
-        return None
-    return sol[:k]
-
-
-def _active_set_newton(value, grad, hess, w_start, max_outer=40):
-    """Active-set Newton minimization of a smooth convex function on the simplex.
-
-    Pins coordinates at zero, runs equality-constrained Newton on the free
-    face, and moves coordinates between the pinned and free sets based on
-    non-negativity and multiplier signs.
-    """
-    m = w_start.shape[0]
-    w = project_to_simplex(np.asarray(w_start, dtype=np.float64))
-    free = [i for i in range(m) if w[i] > 1e-12]
-    if not free:
-        free = [int(np.argmin(grad(w)))]
-        w = np.zeros(m)
-        w[free[0]] = 1.0
-    for _ in range(max_outer):
-        # Newton iterations restricted to the current face
-        for _ in range(60):
-            if len(free) == 1:
-                break
-            g = grad(w)
-            gf = g[free]
-            rg = gf - gf.mean()
-            if float(np.sqrt(rg @ rg)) <= 1e-14 * (1.0 + float(np.abs(gf).max())):
-                break
-            h = hess(w)
-            damp = 1e-13 * (1.0 + abs(float(np.trace(h))) / m)
-            p = _face_newton_step(g, h, free, damp)
-            if p is None:
-                break
-            pnorm = float(np.sqrt(p @ p))
-            if pnorm <= 1e-16:
-                break
-            wf = w[free]
-            neg = p < 0.0
-            t_max = float(np.min(wf[neg] / -p[neg])) if np.any(neg) else 1.0
-            t = min(1.0, t_max)
-            if t <= 0.0:
-                break
-            f = value(w)
-            rg_norm = float(np.sqrt(rg @ rg))
-            moved = False
-            for _ in range(40):
-                w_new = w.copy()
-                w_new[free] = np.maximum(wf + t * p, 0.0)
-                f_new = value(w_new)
-                if f_new < f - 1e-18:
-                    moved = True
-                    break
-                if f_new <= f + 1e-18:
-                    # objective change below fp noise: fall back to the
-                    # reduced-gradient norm as the merit function
-                    g_new = grad(w_new)[free]
-                    rg_new = g_new - g_new.mean()
-                    if float(np.sqrt(rg_new @ rg_new)) < rg_norm:
-                        moved = True
-                        break
-                t *= 0.5
-            if not moved:
-                break
-            w = w_new
-        # pin coordinates that collapsed to (numerical) zero
-        new_free = [i for i in free if w[i] > 1e-15]
-        if new_free and len(new_free) < len(free):
-            scaled = np.zeros(m)
-            scaled[new_free] = w[new_free]
-            w = scaled / scaled.sum()
-            free = new_free
-            continue
-        # multiplier check: pinned coordinates must not want to re-enter
-        g = grad(w)
-        nu = float(g[free].mean())
-        pinned = [i for i in range(m) if i not in free]
-        if not pinned:
-            return w
-        j = min(pinned, key=lambda i: g[i])
-        if g[j] >= nu - 1e-12 * (1.0 + abs(nu)):
-            return w
-        free = sorted(free + [j])
     return w
 
 
-def solve_cagrad_dual(gs: GradientSet, cfg: CagradConfig, tol: float = DUAL_TOL,
-                      w0: np.ndarray | None = None) -> CombinedGradient:
-    """CAGrad update through its simplex dual.
-
-    Minimizes <g_w, g0> + sqrt(phi)*||g_w|| over the simplex with
-    phi = c^2*||g0||^2 and reconstructs d = g0 + g_w / lambda*,
-    lambda* = ||g_w|| / sqrt(phi).  Degenerate cases: c = 0 gives d = g0
-    exactly; ||g0|| = 0 gives d = 0; g_w* = 0 gives d = g0.
-    ``w0`` warm-starts the solve.
-    """
-    m = gs.m
-    g0_full = gs.mean_grad
-    g0_norm = float(np.linalg.norm(g0_full))
-    if cfg.c == 0.0:
-        j = int(np.argmin(gs.grads @ g0_full))
-        w = np.zeros(m)
-        w[j] = 1.0
-        return CombinedGradient(d=g0_full.copy(), weights=SimplexWeights(w),
-                                cagrad=CagradInternals(phi=0.0, lambda_star=float("inf")))
-    if g0_norm == 0.0:
-        return CombinedGradient(d=np.zeros(gs.dim),
-                                cagrad=CagradInternals(phi=0.0, lambda_star=float("inf")))
-
-    scale = float(np.max(np.linalg.norm(gs.grads, axis=1)))
-    g_hat = gs.grads / scale
-    g0 = g_hat.mean(axis=0)
-    gram = g_hat @ g_hat.T
-    b = g_hat @ g0
-    sqrt_phi = cfg.c * float(np.linalg.norm(g0))
+def _cagrad_objective(gram, b, sqrt_phi):
+    """The CAGrad dual <g_w, g0> + sqrt(phi)*||g_w|| (||g_w|| smoothed) and
+    its gradient, for ``_pgd_simplex``."""
 
     def gw_norm_sm(w):
         return float(np.sqrt(max(w @ gram @ w, 0.0) + SMOOTH_EPS))
@@ -442,62 +209,26 @@ def solve_cagrad_dual(gs: GradientSet, cfg: CagradConfig, tol: float = DUAL_TOL,
     def grad(w):
         return b + sqrt_phi * (gram @ w) / gw_norm_sm(w)
 
-    def hess(w):
-        nrm = gw_norm_sm(w)
-        mw = gram @ w
-        return sqrt_phi * (gram / nrm - np.outer(mw, mw) / nrm**3)
-
-    def residual_at(w):
-        r = w - project_to_simplex(w - grad(w))
-        return float(np.sqrt(r @ r))
-
-    # Projected Newton from the warm start, then progressively longer PGD
-    # phases (with Newton polish) for the cases it stalls on.
-    w = project_to_simplex(np.asarray(w0, dtype=np.float64)) if w0 is not None else np.full(m, 1.0 / m)
-    w = _active_set_newton(value, grad, hess, w)
-    residual = residual_at(w)
-    if residual > tol:
-        for budget in (40, MAX_ITER):
-            w_pgd, _ = _pgd_simplex(value, grad, m, tol, budget, w0=w)
-            w_newton = _active_set_newton(value, grad, hess, w_pgd)
-            for cand in (w_newton, w_pgd):
-                r = residual_at(cand)
-                if r <= residual:
-                    w, residual = cand, r
-            if residual <= tol:
-                break
-    if residual > tol:
-        raise SolverError("CAGrad dual did not converge", weights=w, residual=residual)
-
-    g_w = g_hat.T @ w
-    g_w_norm = float(np.linalg.norm(g_w))
-    lam = g_w_norm / sqrt_phi  # ||g_w|| / sqrt(phi), scale-invariant
-    if g_w_norm == 0.0:
-        d_hat = g0
-    else:
-        # smoothed norm keeps the step inside the ball by construction
-        d_hat = g0 + sqrt_phi * g_w / np.sqrt(g_w_norm**2 + SMOOTH_EPS)
-    phi_raw = (cfg.c * g0_norm) ** 2
-    return CombinedGradient(d=d_hat * scale, weights=SimplexWeights(w),
-                            cagrad=CagradInternals(phi=phi_raw, lambda_star=lam))
+    return value, grad
 
 
 # ---------------------------------------------------------------------------
-# Batched solves: a lockstep replay of the per-point solvers
+# The dual solver engine
 # ---------------------------------------------------------------------------
 #
 # ``solve_mgda_batch`` and ``solve_cagrad_batch`` solve B gradient sets at
-# once.  They run the per-point algorithms above on stacked arrays, every
-# row in lockstep: rows whose support (or free set) has the same size k are
-# gathered into one (G, k+1, k+1) stack of the per-point KKT matrices for one
-# stacked LAPACK solve, and every other operation is computed the way the
-# per-point code computes it (one dot product or gemv per row, Python's
-# float power), so a row finished here carries the per-point solver's bits.
-# A row that leaves that path (a stall, a singular or inexact KKT solve, a
-# residual above DUAL_TOL, a degenerate input) is solved by the per-point solver
-# from the same warm start.
+# once, every row in lockstep: an exact active-set solve (MGDA) or an
+# active-set Newton solve (CAGrad) from each row's warm start.  Rows whose
+# support (or free set) has the same size k are gathered into one
+# (G, k+1, k+1) stack of KKT matrices for one stacked LAPACK solve, a row
+# whose system is singular is solved by least squares on its own matrix, and
+# every other operation is one dot product or gemv per row (with Python's
+# float power), so a row's result does not depend on the other rows.  A row
+# left with a residual above DUAL_TOL runs projected gradient descent and a
+# second lockstep solve from its result.  ``solve_mgda_dual`` and
+# ``solve_cagrad_dual`` are the one-row case.
 
-_INNER, _OUTER, _DONE, _OUT = range(4)
+_INNER, _OUTER, _DONE = range(3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -505,15 +236,17 @@ class BatchCombined:
     """Per-row results of a batched solve.
 
     ``d`` is (B, n) and ``w`` (B, m); a row of ``w`` is NaN where its solve
-    returned no weights or failed.  ``fallback`` marks the rows the per-point
-    solver finished, and ``errors`` maps a row to the exception its solve
-    raised (its ``d`` row is then NaN).
+    returned no weights or failed.  ``fallback`` marks the rows that needed
+    projected gradient descent, and ``errors`` maps a row to the exception
+    its solve raised (its ``d`` row is then NaN).  ``lambda_star`` (B,) is
+    CAGrad's lambda*, None for MGDA.
     """
 
     d: np.ndarray
     w: np.ndarray
     fallback: np.ndarray
     errors: dict
+    lambda_star: np.ndarray | None = None
 
 
 def _rowdot(a, b):
@@ -546,10 +279,11 @@ def _by_size(rows, mask):
         yield int(k), rows[sel], np.nonzero(sub[sel])[1].reshape(-1, k)
 
 
-def _solve_kkt(block, top, last):
+def _solve_kkt(block, top, last, exact=False):
     """Solve the stacked systems [[block, 1], [1^T, 0]] x = [top, last].
 
-    Returns (kkt, rhs, x, singular); a singular row's x is NaN.
+    A row whose system is singular, or (with ``exact``) whose solution is
+    not finite or leaves a residual above 1e-8, is solved by least squares.
     """
     g, k = block.shape[0], block.shape[1]
     kkt = np.zeros((g, k + 1, k + 1))
@@ -559,7 +293,7 @@ def _solve_kkt(block, top, last):
     rhs = np.zeros((g, k + 1))
     rhs[:, :k] = top
     rhs[:, k] = last
-    singular = np.zeros(g, dtype=bool)
+    bad = np.zeros(g, dtype=bool)
     try:
         x = np.linalg.solve(kkt, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:  # one singular row fails the whole stack
@@ -568,17 +302,29 @@ def _solve_kkt(block, top, last):
             try:
                 x[i] = np.linalg.solve(kkt[i], rhs[i])
             except np.linalg.LinAlgError:
-                singular[i] = True
-    return kkt, rhs, x, singular
+                bad[i] = True
+    if exact:
+        with np.errstate(invalid="ignore"):
+            bad |= ~(np.abs(_matvec(kkt, x) - rhs).max(axis=1) <= 1e-8)
+    for i in np.flatnonzero(bad):
+        x[i] = np.linalg.lstsq(kkt[i], rhs[i], rcond=None)[0]
+    return x
 
 
-def _seeds(w0, rows, m):
-    """Per-point start weights: the projected warm start, or uniform for a
-    cold row (a NaN row of w0)."""
-    seed = np.full((rows.shape[0], m), 1.0 / m)
-    warm = ~np.isnan(w0[rows]).any(axis=1)
+def _residual(w, g):
+    """The unit-step projected-gradient-mapping norm ||w - P(w - g)|| per row."""
+    r = w - _project_rows(w - g)
+    return np.sqrt(_rowdot(r, r))
+
+
+def _seeds(w0, m):
+    """Start weights: each row's projected warm start, or uniform for a cold
+    row (one with a NaN or infinite entry).  Either is a finite point of the
+    simplex, so some weight is at least 1/m."""
+    seed = np.full(w0.shape, 1.0 / m)
+    warm = np.isfinite(w0).all(axis=1)
     if warm.any():
-        seed[warm] = _project_rows(w0[rows[warm]])
+        seed[warm] = _project_rows(w0[warm])
     return seed
 
 
@@ -594,94 +340,111 @@ def _check_batch(grads, w0):
     return grads, w0
 
 
-def _finish(grads, w0, rows, d_rows, w_rows, solve) -> BatchCombined:
-    """Weight checks and direction for the replayed rows, then the per-point
-    solver for every other row."""
-    n_rows, m, n = grads.shape
-    d = np.full((n_rows, n), np.nan)
-    w = np.full((n_rows, m), np.nan)
-    # what SimplexWeights and CombinedGradient check
-    ok = ~(w_rows.min(axis=1, initial=0.0) < WEIGHT_FLOOR)
-    w_rows = np.maximum(w_rows, 0.0)
-    ok &= ~(np.abs(w_rows.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL)
-    ok &= np.isfinite(d_rows).all(axis=1)
-    d[rows[ok]], w[rows[ok]] = d_rows[ok], w_rows[ok]
-    fallback = np.ones(n_rows, dtype=bool)
-    fallback[rows[ok]] = False
-    errors = {}
-    for i in np.flatnonzero(fallback):
-        warm = None if np.isnan(w0[i]).any() else w0[i]
-        try:
-            out = solve(GradientSet(grads=grads[i]), warm)
-        except (SolverError, ValueError, ArithmeticError) as exc:  # reported per row; the caller decides
-            errors[int(i)] = exc
-            continue
-        d[i] = out.d
-        if out.weights is not None:
-            w[i] = out.weights.w
-    return BatchCombined(d=d, w=w, fallback=fallback, errors=errors)
-
-
-def solve_mgda_batch(grads, w0) -> BatchCombined:
-    """``solve_mgda_dual`` on each row of a (B, m, n) gradient stack.
-
-    ``w0`` (B, m) warm-starts each row; a NaN row starts cold.  Every row
-    equals the per-point solve from the same warm start, bit for bit.
-    """
-    grads, w0 = _check_batch(grads, w0)
-    _, m, _ = grads.shape
-    scale = np.max(np.linalg.norm(grads, axis=2), axis=1, initial=0.0)
-    rows = np.flatnonzero(scale != 0.0)  # all-zero rows: the per-point path
-    scale = scale[rows]
-    g_hat = grads[rows] / scale[:, None, None]
-    gram = g_hat @ np.swapaxes(g_hat, 1, 2)
-
-    # _mgda_active_set, one support per row
-    support = _seeds(w0, rows, m) > 1e-9
-    empty = np.flatnonzero(~support.any(axis=1))
-    support[empty, np.argmin(np.diagonal(gram[empty], axis1=1, axis2=2), axis=1)] = True
-    state = np.full(rows.shape[0], _INNER)
-    w = np.zeros((rows.shape[0], m))
-    grad_w = np.zeros((rows.shape[0], m))
-    for _ in range(4 * m + 8):
-        if not np.any(state == _INNER):
+def _pgd_phase(w, res, budgets, objective, polish, gradient):
+    """Projected gradient descent for the rows whose residual is above
+    DUAL_TOL, one budget after the other: PGD from the row's best iterate,
+    then ``polish`` (the lockstep solve) from PGD's result.  A candidate,
+    the polished one first, replaces the best iterate when its residual is
+    no larger.  Updates w and res in place; returns the rows that ran PGD."""
+    redo = ran = np.flatnonzero(res > DUAL_TOL)
+    for budget in budgets:
+        if redo.size == 0:
             break
-        for k, grp, idx in _by_size(np.flatnonzero(state == _INNER), support):
+        w_pgd = np.array([_pgd_simplex(*objective(i), w[i], budget) for i in redo])
+        for cand in (polish(redo, w_pgd), w_pgd):
+            r = _residual(cand, gradient(redo, cand))
+            better = r <= res[redo]
+            w[redo[better]], res[redo[better]] = cand[better], r[better]
+        redo = redo[~(res[redo] <= DUAL_TOL)]
+    return ran
+
+
+def _finish(rows, d_rows, w_rows, res, name, d, w, ran, **internals) -> BatchCombined:
+    """Place the solved rows into d and w, record a SolverError for a row
+    whose residual stays above DUAL_TOL, and apply the checks of
+    SimplexWeights and CombinedGradient to every row (a row of w that is all
+    NaN has no weights).  A failed row's d and w become NaN."""
+    errors = {int(rows[i]): SolverError(f"{name} dual did not converge", weights=w_rows[i],
+                                        residual=float(res[i]))
+              for i in np.flatnonzero(res > DUAL_TOL)}
+    d[rows], w[rows] = d_rows, w_rows
+    low = w.min(axis=1, initial=0.0) < WEIGHT_FLOOR
+    w = np.maximum(w, 0.0)
+    for bad, msg in ((low, f"weight below {WEIGHT_FLOOR}"),
+                     (np.abs(w.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL, "weights must sum to 1"),
+                     (~np.isfinite(d).all(axis=1), "combined gradient must be finite")):
+        for i in np.flatnonzero(bad):
+            errors.setdefault(int(i), ValueError(msg))
+    failed = list(errors)
+    d[failed], w[failed] = np.nan, np.nan
+    fallback = np.zeros(d.shape[0], dtype=bool)
+    fallback[rows[ran]] = True
+    return BatchCombined(d=d, w=w, fallback=fallback, errors=errors, **internals)
+
+
+def _min_norm_rows(gram, w):
+    """Active-set min-norm solve of each row's Gram matrix from the start
+    weights w, taken as given.  Each pass solves the face of the row's
+    support in closed form, drops a negative weight from the support or adds
+    the gradient with the most violated KKT condition to it.  A row that
+    stalls or runs out of passes keeps its last iterate.  Returns (w, gram @ w)."""
+    m = w.shape[1]
+    support = w > 1e-9
+    w, grad_w = w.copy(), _matvec(gram, w)
+    active = np.ones(w.shape[0], dtype=bool)
+    for _ in range(4 * m + 8):
+        if not active.any():
+            break
+        for k, grp, idx in _by_size(np.flatnonzero(active), support):
             if k == 1:
                 w_s = np.ones((grp.shape[0], 1))
-            else:  # _face_min_norm; its lstsq branch leaves the path
-                kkt, rhs, sol, singular = _solve_kkt(_gather(gram[grp], idx), 0.0, 1.0)
-                with np.errstate(invalid="ignore"):
-                    inexact = singular | ~(np.abs(_matvec(kkt, sol) - rhs).max(axis=1) <= 1e-8)
-                state[grp[inexact]] = _OUT
-                grp, idx, w_s = grp[~inexact], idx[~inexact], sol[~inexact, :k]
+            else:
+                w_s = _solve_kkt(_gather(gram[grp], idx), 0.0, 1.0, exact=True)[:, :k]
             drop = w_s.min(axis=1) < -1e-12
             support[grp[drop], idx[drop, np.argmin(w_s[drop], axis=1)]] = False
             grp, idx, w_s = grp[~drop], idx[~drop], w_s[~drop]
             w_new = np.zeros((grp.shape[0], m))
             w_new[np.arange(grp.shape[0])[:, None], idx] = np.maximum(w_s, 0.0)
             w_new /= w_new.sum(axis=1)[:, None]
-            inner = _matvec(gram[grp], w_new)
+            inner = _matvec(gram[grp], w_new)  # <g_i, g_w>
+            w[grp], grad_w[grp] = w_new, inner
             dd = _rowdot(w_new, inner)
             j = np.argmin(inner, axis=1)
             done = inner[np.arange(grp.shape[0]), j] >= dd - 1e-12 * (1.0 + dd)
-            w[grp[done]], grad_w[grp[done]] = w_new[done], inner[done]
-            state[grp[done]] = _DONE
-            grp, j = grp[~done], j[~done]
-            stalled = support[grp, j]  # the loop's break
-            state[grp[stalled]] = _OUT
-            support[grp[~stalled], j[~stalled]] = True
-    ok = state == _DONE
+            stalled = support[grp, j]
+            active[grp[done | stalled]] = False
+            grow = ~(done | stalled)
+            support[grp[grow], j[grow]] = True
+    return w, grad_w
 
-    r = w - _project_rows(w - grad_w)
-    ok &= np.sqrt(_rowdot(r, r)) <= DUAL_TOL
+
+def solve_mgda_batch(grads, w0) -> BatchCombined:
+    """The MGDA min-norm point of each row of a (B, m, n) gradient stack.
+
+    ``w0`` (B, m) warm-starts each row; a row with a NaN or infinite entry
+    starts cold.  All-zero gradients give d = 0 with uniform weights.
+    """
+    grads, w0 = _check_batch(grads, w0)
+    n_rows, m, n = grads.shape
+    scale = np.max(np.linalg.norm(grads, axis=2), axis=1, initial=0.0)
+    rows = np.flatnonzero(scale != 0.0)
+    scale = scale[rows]
+    g_hat = grads[rows] / scale[:, None, None]
+    gram = g_hat @ np.swapaxes(g_hat, 1, 2)
+
+    w, grad_w = _min_norm_rows(gram, _seeds(w0[rows], m))
+    res = _residual(w, grad_w)
+    ran = _pgd_phase(w, res, (MAX_ITER,),
+                     lambda i: (lambda w_: 0.5 * float(w_ @ gram[i] @ w_), lambda w_: gram[i] @ w_),
+                     lambda sel, w_pgd: _min_norm_rows(gram[sel], w_pgd)[0],
+                     lambda sel, w_: _matvec(gram[sel], w_))
     d = _matvec(np.swapaxes(g_hat, 1, 2), w) * scale[:, None]
-    return _finish(grads, w0, rows[ok], d[ok], w[ok], lambda gs, w_: solve_mgda_dual(gs, w0=w_))
+    return _finish(rows, d, w, res, "MGDA", np.zeros((n_rows, n)), np.full((n_rows, m), 1.0 / m), ran)
 
 
 def _cagrad_terms(gram, b, sqrt_phi, w):
     """The smoothed ||g_w||, gram @ w and the dual gradient at each row's w,
-    computed as the closures of ``solve_cagrad_dual`` compute them."""
+    computed as ``_cagrad_objective`` computes them."""
     quad = ((w[:, None, :] @ gram) @ w[:, :, None])[:, 0, 0]
     nrm = np.sqrt(np.where(0.0 > quad, 0.0, quad) + SMOOTH_EPS)
     mw = _matvec(gram, w)
@@ -699,33 +462,24 @@ def _reduced_norm(gf):
     return np.sqrt(_rowdot(rg, rg))
 
 
-def solve_cagrad_batch(grads, cfg: CagradConfig, w0) -> BatchCombined:
-    """``solve_cagrad_dual`` on each row of a (B, m, n) gradient stack.
+def _newton_rows(gram, b, sqrt_phi, w):
+    """Active-set Newton minimization of each row's CAGrad dual from the
+    start weights w, taken as given.
 
-    ``w0`` (B, m) warm-starts each row; a NaN row starts cold.  Every row
-    equals the per-point solve from the same warm start, bit for bit.
+    Coordinates at zero are pinned; equality-constrained Newton steps (at
+    most 60, each with a backtracking line search) run on the free face, then
+    collapsed coordinates are pinned, or the pinned coordinate whose
+    multiplier is most negative is released, for at most 40 outer passes.
     """
-    grads, w0 = _check_batch(grads, w0)
-    _, m, _ = grads.shape
-    g0_full = grads.mean(axis=1)
-    live = np.sqrt(_rowdot(g0_full, g0_full)) != 0.0  # ||g0|| = 0: the per-point path
-    rows = np.flatnonzero(live if cfg.c != 0.0 else np.zeros_like(live))
-    scale = np.max(np.linalg.norm(grads[rows], axis=2), axis=1, initial=0.0)
-    g_hat = grads[rows] / scale[:, None, None]
-    g0 = g_hat.mean(axis=1)
-    gram = g_hat @ np.swapaxes(g_hat, 1, 2)
-    b = _matvec(g_hat, g0)
-    sqrt_phi = cfg.c * np.sqrt(_rowdot(g0, g0))
-
-    # _active_set_newton, one free set per row
-    w = _project_rows(_seeds(w0, rows, m))
+    m = w.shape[1]
+    w = w.copy()
     free = w > 1e-12
-    state = np.where(free.any(axis=1), _INNER, _OUT)
-    n_inner = np.zeros(rows.shape[0], dtype=int)
-    n_outer = np.zeros(rows.shape[0], dtype=int)
+    state = np.full(w.shape[0], _INNER)
+    n_inner = np.zeros(w.shape[0], dtype=int)
+    n_outer = np.zeros(w.shape[0], dtype=int)
     # _cagrad_terms at each row's current w, kept from the line search
-    nrm_w, mw_w, grad_w = np.zeros(rows.shape[0]), np.zeros_like(w), np.zeros_like(w)
-    current = np.zeros(rows.shape[0], dtype=bool)
+    nrm_w, mw_w, grad_w = np.zeros(w.shape[0]), np.zeros_like(w), np.zeros_like(w)
+    current = np.zeros(w.shape[0], dtype=bool)
 
     def refresh(grp):
         grp = grp[~current[grp]]
@@ -768,8 +522,7 @@ def solve_cagrad_batch(grads, cfg: CagradConfig, w0) -> BatchCombined:
             go = ~(rn <= 1e-14 * (1.0 + np.abs(gf).max(axis=1)))
             sel, idx, gf, rn = sel[go], idx[go], gf[go], rn[go]
             block = _gather(h[sel], idx) + damp[sel, None, None] * np.eye(k)
-            _, _, sol, singular = _solve_kkt(block, -gf, 0.0)
-            state[grp[sel[singular]]] = _OUT  # the lstsq branch
+            sol = _solve_kkt(block, -gf, 0.0)
             finite = np.isfinite(sol).all(axis=1)
             pk = np.where(finite[:, None], sol[:, :k], 0.0)
             go = finite & (np.sqrt(_rowdot(pk, pk)) > 1e-16)
@@ -783,7 +536,7 @@ def solve_cagrad_batch(grads, cfg: CagradConfig, w0) -> BatchCombined:
         t_max = np.where(neg.any(axis=1), ratio.min(axis=1), 1.0)
         t = np.where(t_max < 1.0, t_max, 1.0)
         step &= t > 0.0
-        state[grp[~step & (state[grp] != _OUT)]] = _OUTER  # the loop's breaks
+        state[grp[~step]] = _OUTER  # the loop's breaks
         grp, nrm, p, t, rg_norm = grp[step], nrm[step], p[step], t[step], rg_norm[step]
         data = tuple(a[step] for a in data)
         _, w_g, _, b_g, sp_g = data
@@ -829,10 +582,7 @@ def solve_cagrad_batch(grads, cfg: CagradConfig, w0) -> BatchCombined:
         j = np.argmin(np.where(free[grp], np.inf, g), axis=1)
         g_j = g[np.arange(grp.shape[0]), j]
         release = ~free[grp].all(axis=1) & ~(g_j >= nu - 1e-12 * (1.0 + np.abs(nu)))
-        finite = np.isfinite(g).all(axis=1)
-        state[grp[~finite]] = _OUT
-        state[grp[finite & ~release]] = _DONE
-        release &= finite
+        state[grp[~release]] = _DONE
         free[grp[release], j[release]] = True
         moved = np.concatenate([moved, grp[release]])
         n_outer[moved] += 1
@@ -847,20 +597,84 @@ def solve_cagrad_batch(grads, cfg: CagradConfig, w0) -> BatchCombined:
         outer = np.flatnonzero(state == _OUTER)
         if outer.size:
             pin_or_release(outer)
-    ok = state == _DONE
+    return w
 
-    _, _, g = _cagrad_terms(gram, b, sqrt_phi, w)
-    r = w - _project_rows(w - g)
-    ok &= np.sqrt(_rowdot(r, r)) <= DUAL_TOL
+
+def solve_cagrad_batch(grads, cfg: CagradConfig, w0) -> BatchCombined:
+    """The CAGrad update of each row of a (B, m, n) gradient stack.
+
+    ``w0`` (B, m) warm-starts each row; a row with a NaN or infinite entry
+    starts cold.  Closed forms: a zero-radius ball (c = 0, or a scaled mean
+    that rounds to zero) gives d = g0 with all weight on the gradient of
+    least gain along g0; ||g0|| = 0 gives d = 0 without weights; g_w* = 0
+    gives d = g0.
+    """
+    grads, w0 = _check_batch(grads, w0)
+    n_rows, m, n = grads.shape
+    g0_full = grads.mean(axis=1)
+    w_ball = np.zeros((n_rows, m))
+    w_ball[np.arange(n_rows), np.argmin(_matvec(grads, g0_full), axis=1)] = 1.0
+    zero = (_rowdot(g0_full, g0_full) == 0.0) & (cfg.c != 0.0)  # ||g0|| = 0
+    w_ball[zero] = np.nan
+    d_ball = np.where(zero[:, None], 0.0, g0_full)
+    lam = np.full(n_rows, np.inf)
+
+    rows = np.flatnonzero(~zero) if cfg.c != 0.0 else np.zeros(0, dtype=int)
+    scale = np.max(np.linalg.norm(grads[rows], axis=2), axis=1, initial=0.0)
+    g_hat = grads[rows] / scale[:, None, None]
+    g0 = g_hat.mean(axis=1)
+    sqrt_phi = cfg.c * np.sqrt(_rowdot(g0, g0))
+    keep = sqrt_phi != 0.0  # else the scaled ball has radius zero
+    rows, scale, g_hat, g0, sqrt_phi = rows[keep], scale[keep], g_hat[keep], g0[keep], sqrt_phi[keep]
+    gram = g_hat @ np.swapaxes(g_hat, 1, 2)
+    b = _matvec(g_hat, g0)
+
+    w = _newton_rows(gram, b, sqrt_phi, _project_rows(_seeds(w0[rows], m)))
+    res = _residual(w, _cagrad_terms(gram, b, sqrt_phi, w)[2])
+    ran = _pgd_phase(w, res, (40, MAX_ITER), lambda i: _cagrad_objective(gram[i], b[i], float(sqrt_phi[i])),
+                     lambda sel, w_pgd: _newton_rows(gram[sel], b[sel], sqrt_phi[sel], _project_rows(w_pgd)),
+                     lambda sel, w_: _cagrad_terms(gram[sel], b[sel], sqrt_phi[sel], w_)[2])
     g_w = _matvec(np.swapaxes(g_hat, 1, 2), w)
     g_w_norm = np.sqrt(_rowdot(g_w, g_w))
-    # g_w = 0 (d = g0) and sqrt(phi) = 0 (lambda* divides by zero): the per-point path
-    ok &= (g_w_norm != 0.0) & (sqrt_phi != 0.0)
-    g_w_sq = np.array([v**2 for v in g_w_norm.tolist()])  # Python's pow, as the per-point code
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d_hat = g0 + sqrt_phi[:, None] * g_w / np.sqrt(g_w_sq + SMOOTH_EPS)[:, None]
-    d = d_hat * scale[:, None]
-    return _finish(grads, w0, rows[ok], d[ok], w[ok], lambda gs, w_: solve_cagrad_dual(gs, cfg, w0=w_))
+    lam[rows] = g_w_norm / sqrt_phi  # ||g_w|| / sqrt(phi), scale-invariant
+    g_w_sq = np.array([v**2 for v in g_w_norm.tolist()])  # Python's pow
+    # smoothed norm keeps the step inside the ball by construction
+    d_hat = np.where((g_w_norm == 0.0)[:, None], g0,
+                     g0 + sqrt_phi[:, None] * g_w / np.sqrt(g_w_sq + SMOOTH_EPS)[:, None])
+    return _finish(rows, d_hat * scale[:, None], w, res, "CAGrad", d_ball, w_ball, ran, lambda_star=lam)
+
+
+def _one_row(batch_solve, gs: GradientSet, w0, cfg: CagradConfig | None = None) -> CombinedGradient:
+    """``batch_solve`` of the one-row stack of gs; raises the row's error."""
+    out = batch_solve(gs.grads[None], np.full((1, gs.m), np.nan) if w0 is None else np.asarray(w0)[None])
+    if out.errors:
+        raise out.errors[0]
+    w = out.w[0]
+    cagrad = None if cfg is None else CagradInternals(phi=(cfg.c * float(np.linalg.norm(gs.mean_grad))) ** 2,
+                                                      lambda_star=float(out.lambda_star[0]))
+    return CombinedGradient(d=out.d[0], weights=None if np.isnan(w).all() else SimplexWeights(w),
+                            cagrad=cagrad)
+
+
+def solve_mgda_dual(gs: GradientSet, w0: np.ndarray | None = None) -> CombinedGradient:
+    """Min-norm point of the gradients' convex hull via the simplex dual:
+    ``solve_mgda_batch`` of one row.
+
+    The returned direction satisfies the KKT conditions
+    <g_i, d> >= ||d||^2 (within DUAL_TOL), with equality on the support of
+    w.  ``w0`` warm-starts the solve (useful along an ascent trajectory).
+    """
+    return _one_row(solve_mgda_batch, gs, w0)
+
+
+def solve_cagrad_dual(gs: GradientSet, cfg: CagradConfig, w0: np.ndarray | None = None) -> CombinedGradient:
+    """CAGrad update through its simplex dual: ``solve_cagrad_batch`` of one row.
+
+    Minimizes <g_w, g0> + sqrt(phi)*||g_w|| over the simplex with
+    phi = c^2*||g0||^2 and reconstructs d = g0 + g_w / lambda*,
+    lambda* = ||g_w|| / sqrt(phi).  ``w0`` warm-starts the solve.
+    """
+    return _one_row(lambda grads, w0_: solve_cagrad_batch(grads, cfg, w0_), gs, w0, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -890,7 +704,7 @@ def _check_primal_dim(gs: GradientSet):
         )
 
 
-def solve_mgda_primal_reference(gs: GradientSet, tol: float = 1e-8) -> CombinedGradient:
+def solve_mgda_primal_reference(gs: GradientSet) -> CombinedGradient:
     """Direct maximization of min_i <d, g_i> - 0.5*||d||^2 over d."""
     _check_primal_dim(gs)
     grads = gs.grads
@@ -915,7 +729,7 @@ def solve_mgda_primal_reference(gs: GradientSet, tol: float = 1e-8) -> CombinedG
     return CombinedGradient(d=best_d)
 
 
-def solve_cagrad_primal_reference(gs: GradientSet, cfg: CagradConfig, tol: float = 1e-8) -> CombinedGradient:
+def solve_cagrad_primal_reference(gs: GradientSet, cfg: CagradConfig) -> CombinedGradient:
     """Direct maximization of min_i <d, g_i> within ||d - g0|| <= c*||g0||."""
     _check_primal_dim(gs)
     grads = gs.grads

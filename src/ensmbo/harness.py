@@ -124,7 +124,7 @@ class AlgoResult:
     scores: np.ndarray
     finals_raw: np.ndarray  # raw task units (tokens or coordinates)
     wall_clock: float
-    solver_paths: dict = field(default_factory=dict)  # MGDA/CAGrad solves: lockstep, fallback
+    solver_paths: dict = field(default_factory=dict)  # MGDA/CAGrad solves: lockstep, fallback (needed PGD)
 
 
 @dataclass(eq=False)
@@ -204,6 +204,15 @@ def _proxy_scores(finals, space, ens: Ensemble) -> np.ndarray:
     return out[:, :, 0].mean(axis=0)
 
 
+def _ascend(starts, space: DesignSpace, ens, acfg: AscentConfig, task_name: str, run_seed: int):
+    """``ascend_batch`` over the designs of ``starts``; its error also names
+    the task and the run seed."""
+    try:
+        return ascend_batch(list(starts.designs), space, ens, acfg)
+    except RuntimeError as exc:
+        raise RuntimeError(f"task {task_name}, run seed {run_seed}: {exc}") from exc
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Full pipeline for one task over one or more run seeds."""
     task = _resolve_task(cfg.task, cfg.task_seed)
@@ -234,7 +243,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             acfg = AscentConfig(
                 steps=cfg.steps, alpha=alpha, combiner=Combiner(alg), cagrad_c=cagrad_c
             )
-            trajs = ascend_batch(list(starts.designs), space_run, ens, acfg)
+            trajs = _ascend(starts, space_run, ens, acfg, task.name, rs)
             finals = [t.final for t in trajs]
             if task.oracle is not None:
                 if task.oracle.calls != _eval_calls_so_far(results):
@@ -624,7 +633,7 @@ def cmd_tune(args) -> int:
         record_trajectory=True,
     )
     starts = select_top_n(mbo, min(args.n_trajectories, len(mbo)))
-    trajs = ascend_batch(list(starts.designs), space_run, ens, acfg)
+    trajs = _ascend(starts, space_run, ens, acfg, task.name, args.seed)
     out = _out_base(args)
     out.mkdir(parents=True, exist_ok=True)
     for i, traj in enumerate(trajs):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -405,3 +406,26 @@ def test_small_csv_names_rows_and_batch_size(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "got 250 rows" in err and "batch_size 256" in err
     assert "train.batch_size" in err and "--config" in err
+
+
+def test_ascent_failure_names_task_and_run_seed(tmp_path, capsys, monkeypatch):
+    import ensmbo.combine as combine
+
+    monkeypatch.setattr(combine, "DUAL_TOL", -1.0)  # no MGDA solve converges
+    residual = r"\(residual \d\.\d{3}e[+-]\d{2}\)"
+    assert cli_main([
+        "run", "--task", "bowl", "--seed", "1", "--run-seeds", "3", "--m", "2", "--epochs", "1",
+        "--steps", "2", "--n-candidates", "2", "--combiner", "mgda", "--out", str(tmp_path),
+    ]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: task bowl, run seed 3: trajectory 0 failed at step 0 \(mgda\): "
+                        rf"MGDA dual did not converge {residual}\n", err)
+    assert cli_main([
+        "tune", "--task", "bowl", "--seed", "2", "--m", "2", "--epochs", "1", "--steps", "2",
+        "--n-trajectories", "2", "--combiner", "mgda", "--out", str(tmp_path),
+    ]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: task bowl, run seed 2: trajectory 0 failed at step 0 \(mgda\): "
+                        rf"MGDA dual did not converge {residual}\n", err)
