@@ -1,15 +1,21 @@
 """Small fully-connected regression networks with exact input gradients.
 
 The proxy models are plain numpy MLPs (ReLU hidden layers, identity
-output) trained with Adam on mean squared error.  Everything is seeded
-and single-threaded per model, so a (data, config) pair reproduces the
-same weights bit for bit.
+output) trained with Adam on mean squared error.  Everything is seeded,
+and the fold models of an ensemble train in worker processes pinned to
+one BLAS thread each, so a (data, config) pair reproduces the same
+weights bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import pickle
 import struct
+import subprocess
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -197,7 +203,7 @@ def train_arrays(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     """Train on explicit arrays (optimization representation).
 
     When no validation arrays are given, a seeded 90/10 split is carved out
-    of the training data.Aborts if the loss goes non-finite.
+    of the training data. Aborts if the loss goes non-finite.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -285,6 +291,16 @@ def train_ensemble(data: Dataset, m: int, cfg: TrainConfig) -> Ensemble:
     A seeded shuffle splits the data into m folds; model i validates on
     fold i and trains on the rest, with per-model seed ``cfg.seed + i``.
     A single-model ensemble falls back to the internal 90/10 split.
+
+    The folds train in W = min(m, usable CPUs) worker processes, each at
+    one BLAS thread; worker w trains folds w, w + W, w + 2W, ....  With
+    W < 2 they train in this process.  Either way the models are the ones
+    ``train_arrays`` gives fold by fold in this process, bit for bit, and
+    come back in fold order.  A fold that fails raises what training it
+    in this process would raise, from the lowest failing fold; a worker
+    that ends without a result raises ``RuntimeError`` naming it, its
+    folds and its exit code.  Every worker has ended when this returns
+    or raises.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -298,14 +314,85 @@ def train_ensemble(data: Dataset, m: int, cfg: TrainConfig) -> Ensemble:
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(n)
     folds = np.array_split(perm, m)
+    n_workers = min(m, len(os.sched_getaffinity(0)))
+    if n_workers < 2:
+        return Ensemble(models=[_train_fold(X, y, folds, i, cfg) for i in range(m)])
+    return Ensemble(models=_train_in_workers(X, y, folds, cfg, n_workers))
+
+
+def _train_fold(X, y, folds, i, cfg) -> MlpModel:
+    train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
+    return train_arrays(X[train_idx], y[train_idx], replace(cfg, seed=cfg.seed + i),
+                        X[folds[i]], y[folds[i]])
+
+
+# The workers are plain interpreters started by subprocess, not a
+# multiprocessing or concurrent.futures pool: those start a resource-tracker
+# process that nobody waits for, and it outlives the call (and the program).
+_WORKER_CODE = "from ensmbo.nn import _fold_worker; _fold_worker()"
+_PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _fold_worker() -> None:
+    """Worker entry point: reads (X, y, folds, fold ids, cfg) pickled on
+    stdin, trains those folds in order and pickles [(fold, model or the
+    exception it raised)] on stdout.  It stops at its first failing fold,
+    since its later folds cannot be the lowest failing one."""
+    out = sys.stdout.buffer
+    sys.stdout = sys.stderr  # stdout carries the result alone
+    X, y, folds, ids, cfg = pickle.load(sys.stdin.buffer)
+    results = []
+    for i in ids:
+        try:
+            results.append((i, _train_fold(X, y, folds, i, cfg)))
+        except Exception as exc:
+            results.append((i, exc))
+            break
+    pickle.dump(results, out, protocol=pickle.HIGHEST_PROTOCOL)
+    out.flush()
+
+
+def _train_in_workers(X, y, folds, cfg, n_workers) -> list:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_PACKAGE_PARENT, env.get("PYTHONPATH")]))
+    jobs = [list(range(w, len(folds), n_workers)) for w in range(n_workers)]
+    procs = []
+    try:
+        for _ in jobs:
+            procs.append(subprocess.Popen([sys.executable, "-c", _WORKER_CODE], env=env,
+                                          stdin=subprocess.PIPE, stdout=subprocess.PIPE))
+        # Every input is written before any result is read: a worker reads
+        # all of its input before it writes anything.  Protocol 5 streams
+        # the arrays' buffers into the pipe without copying them.
+        for proc, ids in zip(procs, jobs):
+            try:
+                with proc.stdin:
+                    pickle.dump((X, y, folds, ids, cfg), proc.stdin, protocol=5)
+            except BrokenPipeError:
+                pass  # the worker has ended; its exit code is reported below
+        results = {}
+        for w, (proc, ids) in enumerate(zip(procs, jobs)):
+            blob = proc.stdout.read()
+            code = proc.wait()
+            if code != 0 or not blob:
+                raise RuntimeError(f"training worker {w} (folds {ids}) exited with code {code} "
+                                   "without a result")
+            results.update(pickle.loads(blob))
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            with contextlib.suppress(BrokenPipeError):  # unsent input of a killed worker
+                proc.stdin.close()
     models = []
-    for i, fold in enumerate(folds):
-        train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
-        models.append(
-            train_arrays(X[train_idx], y[train_idx], replace(cfg, seed=cfg.seed + i),
-                         X[fold], y[fold])
-        )
-    return Ensemble(models=models)
+    for i in range(len(folds)):
+        # A fold missing from the results follows a failed fold of its worker.
+        if isinstance(results[i], Exception):
+            raise results[i]
+        models.append(results[i])
+    return models
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,15 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
+from glob import glob
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ensmbo
 from ensmbo.core import (
     Dataset,
     DesignSpace,
@@ -225,6 +229,40 @@ def test_cli_run_subset_combiner(tmp_path):
     assert code == 0
     files = {p.name for p in (tmp_path / "bowl-s2").glob("designs_*.csv")}
     assert files == {"designs_mean_seed2.csv", "designs_mgda_seed2.csv"}
+
+
+def _session_members(sid):
+    """Processes in session ``sid``, zombies included."""
+    members = []
+    for path in glob("/proc/[0-9]*/stat"):
+        try:
+            with open(path, encoding="ascii", errors="replace") as f:
+                fields = f.read().rsplit(")", 1)[1].split()  # state ppid pgrp session ...
+        except OSError:
+            continue  # ended while we looked
+        if int(fields[3]) == sid:
+            members.append(path)
+    return members
+
+
+def test_cli_run_leaves_no_process_behind(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": {"epochs": 2}}), encoding="utf-8")
+    src = str(Path(ensmbo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from ensmbo.harness import main; main()", "run", "--task", "bowl",
+         "--seed", "1", "--m", "3", "--steps", "3", "--n-candidates", "4", "--config", str(config),
+         "--out", str(tmp_path)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()  # no-op once it has been waited for
+        proc.wait()
+    left = _session_members(proc.pid)  # a new session's id is its leader's pid
+    assert proc.returncode == 0, err
+    assert left == []
 
 
 def test_cli_tune_never_touches_oracle(tmp_path, capsys):

@@ -1,3 +1,9 @@
+import glob
+import os
+import shutil
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -253,6 +259,79 @@ def test_ensemble_fold_too_small():
     ds = _toy_dataset(4)
     with pytest.raises(ValueError, match="fold"):
         train_ensemble(ds, 6, TrainConfig(epochs=1, batch_size=2, seed=0))
+
+
+def _serial_folds(ds, m, cfg):
+    """The fold loop run in this process: the reference for the workers."""
+    X, y = design_matrix(ds), ds.scores
+    folds = np.array_split(np.random.default_rng(cfg.seed).permutation(len(ds)), m)
+    models = []
+    for i, fold in enumerate(folds):
+        train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
+        models.append(train_arrays(X[train_idx], y[train_idx], replace(cfg, seed=cfg.seed + i),
+                                   X[fold], y[fold]))
+    return models
+
+
+def _child_pids():
+    """Children of this process, zombies included."""
+    pids = []
+    for path in glob.glob("/proc/self/task/*/children"):
+        with open(path, encoding="ascii") as f:
+            pids += f.read().split()
+    return pids
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Train in two workers whatever the machine's CPU count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_ensemble_workers_match_serial_fold_training(two_cpus, m):
+    ds = _toy_dataset(300)
+    cfg = TrainConfig(epochs=3, batch_size=32, seed=11)
+    ens = train_ensemble(ds, m, cfg)
+    assert _child_pids() == []
+    ref = _serial_folds(ds, m, cfg)
+    assert ens.size == m
+    for got, want in zip(ens.models, ref):
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
+        assert got.val_mse == want.val_mse
+        assert got.val_spearman == want.val_spearman
+
+
+def test_ensemble_worker_error_is_the_serial_one(two_cpus):
+    # 62 rows in 5 folds of 13, 13, 12, 12, 12: folds 0 and 1 train on 49 rows.
+    ds = _toy_dataset(62)
+    cfg = TrainConfig(epochs=1, batch_size=50, seed=0)
+    with pytest.raises(ValueError) as want:
+        _serial_folds(ds, 5, cfg)
+    with pytest.raises(ValueError) as got:
+        train_ensemble(ds, 5, cfg)
+    assert str(got.value) == str(want.value)
+    assert "got 49 rows for batch_size 50" in str(got.value)
+    assert _child_pids() == []
+
+
+def test_ensemble_worker_nonfinite_loss_is_the_serial_one(two_cpus):
+    ds = _toy_dataset(240)
+    cfg = TrainConfig(epochs=2, batch_size=32, learning_rate=1e200, seed=0)
+    with pytest.raises(FloatingPointError) as want:
+        _serial_folds(ds, 3, cfg)
+    with pytest.raises(FloatingPointError) as got:
+        train_ensemble(ds, 3, cfg)
+    assert str(got.value) == str(want.value)
+    assert _child_pids() == []
+
+
+def test_ensemble_worker_without_result_is_named(two_cpus, monkeypatch):
+    monkeypatch.setattr(sys, "executable", shutil.which("false"))
+    with pytest.raises(RuntimeError, match=r"worker 0 \(folds \[0, 2\]\) exited with code 1"):
+        train_ensemble(_toy_dataset(240), 3, TrainConfig(epochs=1, batch_size=32, seed=0))
+    assert _child_pids() == []
 
 
 def test_ensemble_requires_matching_dims():
