@@ -8,6 +8,12 @@ score the hardened finals with the exact oracle and report max /
 50th-percentile / mean metrics (normalized against the total dataset's
 extremes).
 
+Every command takes its settings from one ``ExperimentConfig``, resolved
+by ``_experiment_config``: a flag the user gave, else the ``--config``
+file (``run`` only), else the dataclass default.  ``_prepare`` builds the
+task, the MBO set and its run statistics for every command, and a
+``RunReport`` carries the configuration it ran.
+
 Hyperparameter tuning is offline by construction: the ``tune`` command
 records proxy-prediction trajectories and never touches the oracle, and
 an instrumented call counter proves it.
@@ -32,6 +38,7 @@ from .core import (
     ScoreSummary,
     normalize_design,
     normalize_score,
+    onehot_to_tokens,
     read_dataset_csv,
     select_bottom_fraction,
     select_top_n,
@@ -40,9 +47,9 @@ from .core import (
     write_dataset_csv,
 )
 from .nn import Ensemble, TrainConfig, mlp_forward, save_ensemble, stack_mlps, train_ensemble
-from .tasks import TASK_REGISTRY, TaskSpec, evaluate_oracle, export_task_csv, get_task, ingest_csv
+from .tasks import TASK_REGISTRY, evaluate_oracle, export_task_csv, get_task, ingest_csv
 
-ALGORITHMS = ("single", "mean", "min", "mgda", "cagrad")
+ALGORITHMS = tuple(c.value for c in Combiner)
 
 DISPLAY_NAMES = {
     "single": "single model",
@@ -129,16 +136,10 @@ class AlgoResult:
 
 @dataclass(eq=False)
 class RunReport:
+    config: ExperimentConfig
     task_name: str
-    task_seed: int
-    k_fraction: float
-    ensemble_size: int
-    n_candidates: int
-    steps: int
-    alpha: float
+    alpha: float  # resolved: config.alpha is None for the per-task default
     cagrad_c: float
-    algorithms: tuple
-    run_seeds: tuple
     y_min: float
     y_max: float
     baseline_norm: float
@@ -150,11 +151,13 @@ class RunReport:
     train_seconds: dict
     ensembles: dict = field(default_factory=dict, repr=False)
 
-    def result(self, algorithm: str, run_seed: int) -> AlgoResult:
-        for r in self.results:
-            if r.algorithm == algorithm and r.run_seed == run_seed:
-                return r
-        raise KeyError((algorithm, run_seed))
+    @property
+    def algorithms(self) -> tuple:
+        return self.config.algorithms
+
+    @property
+    def run_seeds(self) -> tuple:
+        return self.config.resolved_seeds()
 
     def aggregate(self) -> dict:
         """Per-algorithm mean/std over run seeds for each metric."""
@@ -169,28 +172,25 @@ class RunReport:
         return out
 
 
-def _resolve_task(name: str, seed: int) -> TaskSpec:
-    if name in TASK_REGISTRY:
-        return get_task(name, seed)
-    p = Path(name)
-    if p.suffix == ".csv" and p.exists():
-        task, _ = ingest_csv(p)
-        return task
-    raise ValueError(f"unknown task '{name}' (not a registry name or CSV path)")
+def _prepare(cfg: ExperimentConfig):
+    """The task, its MBO set and the design space the run works in.
 
-
-def _with_run_stats(mbo: Dataset, task: TaskSpec):
-    """Continuous runs normalize with MBO-dataset statistics (offline data only)."""
+    Continuous runs normalize with MBO-dataset statistics (offline data only).
+    """
+    if cfg.task in TASK_REGISTRY:
+        task = get_task(cfg.task, cfg.task_seed)
+    elif Path(cfg.task).suffix == ".csv" and Path(cfg.task).exists():
+        task, _ = ingest_csv(Path(cfg.task))
+    else:
+        raise ValueError(f"unknown task '{cfg.task}' (not a registry name or CSV path)")
+    mbo = select_bottom_fraction(task.total_dataset(), cfg.k_fraction)
     if task.space.is_discrete:
-        return mbo, task.space
-    mean, std = stats_from_designs(mbo.designs)
-    space_run = task.space.with_stats(mean, std)
-    return Dataset(space=space_run, designs=mbo.designs, scores=mbo.scores), space_run
+        return task, mbo, task.space
+    space_run = task.space.with_stats(*stats_from_designs(mbo.designs))
+    return task, Dataset(space=space_run, designs=mbo.designs, scores=mbo.scores), space_run
 
 
 def _finals_to_raw(finals, space) -> np.ndarray:
-    from .core import onehot_to_tokens
-
     if space.is_discrete:
         return np.array([onehot_to_tokens(f, space) for f in finals])
     return np.asarray(finals)
@@ -215,14 +215,9 @@ def _ascend(starts, space: DesignSpace, ens, acfg: AscentConfig, task_name: str,
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Full pipeline for one task over one or more run seeds."""
-    task = _resolve_task(cfg.task, cfg.task_seed)
-    if task.oracle is not None:
-        task.oracle.reset_calls()
-    total = task.total_dataset()
-    mbo = select_bottom_fraction(total, cfg.k_fraction)
+    task, mbo, space_run = _prepare(cfg)  # a fresh task: its oracle has no calls yet
     if cfg.n_candidates > len(mbo):
         raise ValueError("n_candidates exceeds the MBO dataset size")
-    mbo, space_run = _with_run_stats(mbo, task)
     baseline_norm = normalize_score(float(mbo.scores.max()), task.y_min, task.y_max)
     alpha = cfg.resolved_alpha()
     cagrad_c = cfg.resolved_cagrad_c()
@@ -246,7 +241,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             trajs = _ascend(starts, space_run, ens, acfg, task.name, rs)
             finals = [t.final for t in trajs]
             if task.oracle is not None:
-                if task.oracle.calls != _eval_calls_so_far(results):
+                if task.oracle.calls != sum(r.scores.shape[0] for r in results):
                     raise RuntimeError("oracle was touched outside the evaluation stage")
                 scores = np.asarray(evaluate_oracle(task, finals))
             else:
@@ -270,16 +265,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     if task.oracle is not None and eval_calls != expected:
         raise RuntimeError(f"oracle accounting mismatch: {eval_calls} != {expected}")
     return RunReport(
+        config=cfg,
         task_name=task.name,
-        task_seed=cfg.task_seed,
-        k_fraction=cfg.k_fraction,
-        ensemble_size=cfg.ensemble_size,
-        n_candidates=cfg.n_candidates,
-        steps=cfg.steps,
         alpha=alpha,
         cagrad_c=cagrad_c,
-        algorithms=tuple(cfg.algorithms),
-        run_seeds=cfg.resolved_seeds(),
         y_min=task.y_min,
         y_max=task.y_max,
         baseline_norm=baseline_norm,
@@ -291,10 +280,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         train_seconds=train_seconds,
         ensembles=ensembles,
     )
-
-
-def _eval_calls_so_far(results) -> int:
-    return sum(r.scores.shape[0] for r in results)
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +321,16 @@ def _table(title: str, header: str, rows: list, extra_rows=()) -> list:
 
 def report_markdown(report: RunReport) -> str:
     agg = report.aggregate()
+    cfg = report.config
     multi = len(report.run_seeds) > 1
     lines = [
         f"# Offline MBO report: {report.task_name}",
         "",
-        f"- task seed: {report.task_seed}",
-        f"- MBO dataset: bottom {_fmt(report.k_fraction * 100)}% of the total dataset",
-        f"- ensemble size: {report.ensemble_size}",
-        f"- candidates per algorithm: {report.n_candidates}",
-        f"- update steps: {report.steps}, step size: {_fmt(report.alpha)}, CAGrad c: {_fmt(report.cagrad_c)}",
+        f"- task seed: {cfg.task_seed}",
+        f"- MBO dataset: bottom {_fmt(cfg.k_fraction * 100)}% of the total dataset",
+        f"- ensemble size: {cfg.ensemble_size}",
+        f"- candidates per algorithm: {cfg.n_candidates}",
+        f"- update steps: {cfg.steps}, step size: {_fmt(report.alpha)}, CAGrad c: {_fmt(report.cagrad_c)}",
         f"- run seeds: {', '.join(str(s) for s in report.run_seeds)}",
         f"- score normalization range: [{_fmt(report.y_min)}, {_fmt(report.y_max)}]",
         "",
@@ -365,15 +351,15 @@ def report_markdown(report: RunReport) -> str:
 
     baseline = [("dataset", _fmt(report.baseline_norm))]
     lines += _table(
-        f"Max (normalized) ground-truth score of the top {report.n_candidates} designs",
+        f"Max (normalized) ground-truth score of the top {cfg.n_candidates} designs",
         "max (normalized)", rows_for("max_norm"), extra_rows=baseline,
     )
     lines += _table(
-        f"50th percentile (normalized) ground-truth score of the top {report.n_candidates} designs",
+        f"50th percentile (normalized) ground-truth score of the top {cfg.n_candidates} designs",
         "p50 (normalized)", rows_for("p50_norm"),
     )
     lines += _table(
-        f"Average (raw) ground-truth score of the top {report.n_candidates} designs",
+        f"Average (raw) ground-truth score of the top {cfg.n_candidates} designs",
         "mean (raw)", rows_for("mean"),
     )
     lines += _table(
@@ -396,13 +382,17 @@ def report_markdown(report: RunReport) -> str:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def run_dir_for(cfg: ExperimentConfig, out_base: str | None = None) -> Path:
-    base = out_base or cfg.out_dir or os.environ.get(DEFAULT_OUT_ENV, "runs")
-    name = Path(cfg.task).stem if cfg.task.endswith(".csv") else cfg.task
-    return Path(base) / f"{name}-s{cfg.task_seed}"
+def _out_dir(cfg: ExperimentConfig) -> Path:
+    return Path(cfg.out_dir or os.environ.get(DEFAULT_OUT_ENV, "runs"))
+
+
+def run_dir_for(cfg: ExperimentConfig) -> Path:
+    return _out_dir(cfg) / f"{Path(cfg.task).stem}-s{cfg.task_seed}"
 
 
 def persist_report(report: RunReport, cfg: ExperimentConfig, run_dir: Path) -> None:
+    if cfg != report.config:  # load_report finds the design CSVs through the stored config
+        raise ValueError("persist_report needs the configuration the report ran")
     run_dir.mkdir(parents=True, exist_ok=True)
     for r in report.results:
         path = run_dir / f"designs_{r.algorithm}_seed{r.run_seed}.csv"
@@ -458,8 +448,8 @@ def load_report(run_dir) -> RunReport:
     cfg = ExperimentConfig.from_dict(payload["config"])
     results = []
     space = None
-    for alg in payload["algorithms"]:
-        for rs in payload["run_seeds"]:
+    for alg in cfg.algorithms:
+        for rs in cfg.resolved_seeds():
             ds, _meta = read_dataset_csv(run_dir / f"designs_{alg}_seed{rs}.csv")
             space = ds.space
             summary = summarize_scores(ds.scores).with_normalized(payload["y_min"], payload["y_max"])
@@ -474,16 +464,10 @@ def load_report(run_dir) -> RunReport:
                 )
             )
     return RunReport(
+        config=cfg,
         task_name=payload["task_name"],
-        task_seed=cfg.task_seed,
-        k_fraction=cfg.k_fraction,
-        ensemble_size=cfg.ensemble_size,
-        n_candidates=cfg.n_candidates,
-        steps=cfg.steps,
         alpha=payload["alpha"],
         cagrad_c=payload["cagrad_c"],
-        algorithms=tuple(payload["algorithms"]),
-        run_seeds=tuple(payload["run_seeds"]),
         y_min=payload["y_min"],
         y_max=payload["y_max"],
         baseline_norm=payload["baseline_norm"],
@@ -501,12 +485,19 @@ def load_report(run_dir) -> RunReport:
 # ---------------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--task", default="bowl", help="task name (minibind|ridge|bowl) or dataset CSV path")
-    p.add_argument("--seed", type=int, default=0, help="task seed")
-    p.add_argument("--k", type=float, default=0.5, help="bottom-K fraction for the MBO dataset")
-    p.add_argument("--out", default=None, help="output directory (default $ENSMBO_OUT or ./runs)")
-    p.add_argument("--m", type=int, default=6, help="ensemble size")
-    p.add_argument("--epochs", type=int, default=None, help="training epochs override")
+    d = ExperimentConfig
+    p.add_argument("--task", help=f"task name (minibind|ridge|bowl) or dataset CSV path (default {d.task})")
+    p.add_argument("--seed", type=int, help=f"task seed (default {d.task_seed})")
+    p.add_argument("--k", type=float, help=f"bottom-K fraction for the MBO dataset (default {d.k_fraction})")
+    p.add_argument("--out", help="output directory (default $ENSMBO_OUT or ./runs)")
+    p.add_argument("--m", type=int, help=f"ensemble size (default {d.ensemble_size})")
+    p.add_argument("--epochs", type=int, help=f"training epochs (default {TrainConfig.epochs})")
+
+
+def _add_ascent(p: argparse.ArgumentParser):
+    p.add_argument("--alpha", type=float, help="step size (default: per task)")
+    p.add_argument("--steps", type=int, help=f"update steps (default {ExperimentConfig.steps})")
+    p.add_argument("--cagrad-c", type=float, help="CAGrad c (default: per task)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -523,96 +514,69 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tune = sub.add_parser("tune", help="emit offline tuning trajectories (no oracle access)")
     _add_common(tune)
-    tune.add_argument("--alpha", type=float, default=None, help="step size")
-    tune.add_argument("--steps", type=int, default=200)
-    tune.add_argument("--combiner", default="mean", choices=[c.value for c in Combiner])
-    tune.add_argument("--cagrad-c", type=float, default=None)
-    tune.add_argument("--n-trajectories", type=int, default=4)
+    _add_ascent(tune)
+    tune.add_argument("--combiner", default="mean", choices=ALGORITHMS, help="combiner (default mean)")
+    tune.add_argument("--n-trajectories", type=int, default=4, help="starts to trace (default 4)")
 
     run = sub.add_parser("run", help="full experiment")
     _add_common(run)
-    run.add_argument("--alpha", type=float, default=None)
-    run.add_argument("--steps", type=int, default=200)
-    run.add_argument("--combiner", default=None,
-                     help="comma-separated algorithm subset (default: all five)")
-    run.add_argument("--cagrad-c", type=float, default=None)
-    run.add_argument("--n-candidates", type=int, default=128)
-    run.add_argument("--run-seeds", default=None, help="comma-separated run seeds")
-    run.add_argument("--config", default=None, help="JSON config file mirroring ExperimentConfig")
+    _add_ascent(run)
+    run.add_argument("--combiner", help="comma-separated algorithm subset (default: all five)")
+    run.add_argument("--n-candidates", type=int,
+                     help=f"designs per algorithm (default {ExperimentConfig.n_candidates})")
+    run.add_argument("--run-seeds", help="comma-separated run seeds (default: the task seed)")
+    run.add_argument("--config", help="JSON config file mirroring ExperimentConfig; flags override it")
 
     rep = sub.add_parser("report", help="re-render a stored run report")
     rep.add_argument("--run-dir", required=True)
     return parser
 
 
+# flag -> the ExperimentConfig field it sets
+_FLAG_FIELDS = {"task": "task", "seed": "task_seed", "k": "k_fraction", "m": "ensemble_size",
+                "out": "out_dir", "alpha": "alpha", "steps": "steps", "cagrad_c": "cagrad_c",
+                "n_candidates": "n_candidates"}
+
+
 def _experiment_config(args) -> ExperimentConfig:
+    """The settings of any command: each flag given, else the ``--config``
+    file, else the ExperimentConfig default."""
     if getattr(args, "config", None):
         cfg = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
     else:
         cfg = ExperimentConfig()
-    algorithms = cfg.algorithms
+    given = {name: getattr(args, flag) for flag, name in _FLAG_FIELDS.items()
+             if getattr(args, flag, None) is not None}
     if getattr(args, "combiner", None):
-        algorithms = tuple(s.strip() for s in args.combiner.split(",") if s.strip())
-    run_seeds = cfg.run_seeds
+        given["algorithms"] = tuple(s.strip() for s in args.combiner.split(",") if s.strip())
     if getattr(args, "run_seeds", None):
-        run_seeds = tuple(int(s) for s in args.run_seeds.split(","))
-    train = cfg.train
+        given["run_seeds"] = tuple(int(s) for s in args.run_seeds.split(","))
     if args.epochs is not None:
-        train = replace(train, epochs=args.epochs)
-    return replace(
-        cfg,
-        task=args.task,
-        task_seed=args.seed,
-        k_fraction=args.k,
-        ensemble_size=args.m,
-        n_candidates=getattr(args, "n_candidates", cfg.n_candidates),
-        steps=getattr(args, "steps", cfg.steps),
-        alpha=getattr(args, "alpha", None) if getattr(args, "alpha", None) is not None else cfg.alpha,
-        cagrad_c=getattr(args, "cagrad_c", None) if getattr(args, "cagrad_c", None) is not None else cfg.cagrad_c,
-        algorithms=algorithms,
-        run_seeds=run_seeds,
-        train=train,
-        out_dir=args.out or cfg.out_dir,
-    )
-
-
-def _mbo_for(args):
-    task = _resolve_task(args.task, args.seed)
-    mbo = select_bottom_fraction(task.total_dataset(), args.k)
-    mbo, space_run = _with_run_stats(mbo, task)
-    return task, mbo, space_run
-
-
-def _train_config(args) -> TrainConfig:
-    cfg = TrainConfig(seed=args.seed)
-    if args.epochs is not None:
-        cfg = replace(cfg, epochs=args.epochs)
-    return cfg
-
-
-def _out_base(args) -> Path:
-    return Path(args.out or os.environ.get(DEFAULT_OUT_ENV, "runs"))
+        given["train"] = replace(cfg.train, epochs=args.epochs)
+    return replace(cfg, **given)
 
 
 def cmd_gen_task(args) -> int:
-    task = _resolve_task(args.task, args.seed)
-    out = _out_base(args)
+    cfg = _experiment_config(args)
+    task, mbo, _space = _prepare(cfg)
+    out = _out_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    total_path = out / f"{args.task}_total.csv"
+    name = Path(cfg.task).stem
+    total_path = out / f"{name}_total.csv"
     export_task_csv(task, total_path)
-    mbo = select_bottom_fraction(task.total_dataset(), args.k)
-    mbo_path = out / f"{args.task}_mbo.csv"
+    mbo_path = out / f"{name}_mbo.csv"
     write_dataset_csv(mbo, mbo_path, task.y_min, task.y_max)
     print(f"wrote {total_path} ({task.total_size} rows) and {mbo_path} ({len(mbo)} rows)")
     return 0
 
 
 def cmd_train(args) -> int:
-    task, mbo, _space = _mbo_for(args)
-    ens = train_ensemble(mbo, args.m, _train_config(args))
-    out = _out_base(args)
+    cfg = _experiment_config(args)
+    task, mbo, _space = _prepare(cfg)
+    ens = train_ensemble(mbo, cfg.ensemble_size, replace(cfg.train, seed=cfg.task_seed))
+    out = _out_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{Path(args.task).stem}_ensemble_seed{args.seed}.bin"
+    path = out / f"{Path(cfg.task).stem}_ensemble_seed{cfg.task_seed}.bin"
     save_ensemble(ens, path)
     for i, (rho, mse) in enumerate(ens.validation_metrics()):
         print(f"model {i}: val_spearman={rho:.4f} val_mse={mse:.6f}")
@@ -621,23 +585,24 @@ def cmd_train(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    task, mbo, space_run = _mbo_for(args)
+    cfg = _experiment_config(args)
+    (combiner,) = cfg.algorithms
+    task, mbo, space_run = _prepare(cfg)
     calls_before = task.oracle.calls if task.oracle is not None else 0
-    ens = train_ensemble(mbo, args.m, _train_config(args))
-    exp = ExperimentConfig(task=args.task, alpha=args.alpha, cagrad_c=args.cagrad_c)
+    ens = train_ensemble(mbo, cfg.ensemble_size, replace(cfg.train, seed=cfg.task_seed))
     acfg = AscentConfig(
-        steps=args.steps,
-        alpha=exp.resolved_alpha(),
-        combiner=Combiner(args.combiner),
-        cagrad_c=exp.resolved_cagrad_c(),
+        steps=cfg.steps,
+        alpha=cfg.resolved_alpha(),
+        combiner=Combiner(combiner),
+        cagrad_c=cfg.resolved_cagrad_c(),
         record_trajectory=True,
     )
     starts = select_top_n(mbo, min(args.n_trajectories, len(mbo)))
-    trajs = _ascend(starts, space_run, ens, acfg, task.name, args.seed)
-    out = _out_base(args)
+    trajs = _ascend(starts, space_run, ens, acfg, task.name, cfg.task_seed)
+    out = _out_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     for i, traj in enumerate(trajs):
-        path = out / f"trajectory_{args.combiner}_{i}.csv"
+        path = out / f"trajectory_{combiner}_{i}.csv"
         write_trajectory_csv(traj, path)
         print(f"wrote {path}")
     calls_after = task.oracle.calls if task.oracle is not None else 0
@@ -650,7 +615,7 @@ def cmd_tune(args) -> int:
 def cmd_run(args) -> int:
     cfg = _experiment_config(args)
     report = run_experiment(cfg)
-    run_dir = run_dir_for(cfg, args.out)
+    run_dir = run_dir_for(cfg)
     persist_report(report, cfg, run_dir)
     print(report_markdown(report))
     print(f"artifacts in {run_dir}")

@@ -46,10 +46,6 @@ class MlpModel:
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def num_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.input_dim,):

@@ -114,6 +114,21 @@ def evaluate_oracle(task: TaskSpec, designs) -> list[float]:
     return [task.oracle.score(_raw_design(d, task.space)) for d in designs]
 
 
+def _seeded_task(name: str, seed: int, designs, scores, score_one, params: dict,
+                 space: DesignSpace | None = None) -> TaskSpec:
+    """A task over its total dataset, scored by ``score_one``.
+
+    Without ``space`` the designs are continuous and normalized with the
+    total dataset's statistics.
+    """
+    if space is None:
+        mean, std = stats_from_designs(designs)
+        space = DesignSpace.continuous(designs.shape[1], mean=mean, std=std)
+    return TaskSpec(name=name, space=space, oracle=Oracle(fn=score_one), seed=seed,
+                    y_min=float(scores.min()), y_max=float(scores.max()), params=params,
+                    _total=Dataset(space=space, designs=designs, scores=scores))
+
+
 # ---------------------------------------------------------------------------
 # MiniBind: discrete sequences, exhaustive lookup oracle
 # ---------------------------------------------------------------------------
@@ -163,18 +178,7 @@ def make_minibind(seed: int) -> TaskSpec:
     def lookup(design: np.ndarray) -> float:
         return float(scores[int(design @ powers)])
 
-    oracle = Oracle(fn=lookup)
-    total = Dataset(space=space, designs=tokens, scores=scores)
-    return TaskSpec(
-        name="minibind",
-        space=space,
-        oracle=oracle,
-        seed=seed,
-        y_min=float(scores.min()),
-        y_max=float(scores.max()),
-        params={"A": a, "B": b},
-        _total=total,
-    )
+    return _seeded_task("minibind", seed, tokens, scores, lookup, {"A": a, "B": b}, space)
 
 
 # ---------------------------------------------------------------------------
@@ -214,21 +218,7 @@ def make_ridge(seed: int, dim: int = 16) -> TaskSpec:
     x_perp = rng.standard_normal((RIDGE_SIZE, dim - k)) * RIDGE_NOISE
     designs = np.hstack([x_par, x_perp])
     scores = _saturating_gain(x_par @ u) - RIDGE_BETA * np.sum(x_perp**2, axis=1)
-
-    mean, std = stats_from_designs(designs)
-    space = DesignSpace.continuous(dim, mean=mean, std=std)
-    oracle = Oracle(fn=score_one)
-    total = Dataset(space=space, designs=designs, scores=scores)
-    return TaskSpec(
-        name="ridge",
-        space=space,
-        oracle=oracle,
-        seed=seed,
-        y_min=float(scores.min()),
-        y_max=float(scores.max()),
-        params={"u": u, "k": k, "beta": RIDGE_BETA},
-        _total=total,
-    )
+    return _seeded_task("ridge", seed, designs, scores, score_one, {"u": u, "k": k, "beta": RIDGE_BETA})
 
 
 # ---------------------------------------------------------------------------
@@ -256,21 +246,7 @@ def make_bowl(seed: int, dim: int = 4) -> TaskSpec:
     designs = x_star + rng.standard_normal((BOWL_SIZE, dim))
     diffs = designs - x_star
     scores = -np.sum(diffs**2, axis=1)
-
-    mean, std = stats_from_designs(designs)
-    space = DesignSpace.continuous(dim, mean=mean, std=std)
-    oracle = Oracle(fn=score_one)
-    total = Dataset(space=space, designs=designs, scores=scores)
-    return TaskSpec(
-        name="bowl",
-        space=space,
-        oracle=oracle,
-        seed=seed,
-        y_min=float(scores.min()),
-        y_max=float(scores.max()),
-        params={"x_star": x_star},
-        _total=total,
-    )
+    return _seeded_task("bowl", seed, designs, scores, score_one, {"x_star": x_star})
 
 
 # ---------------------------------------------------------------------------

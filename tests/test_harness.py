@@ -4,6 +4,7 @@ import re
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from glob import glob
 from pathlib import Path
 
@@ -23,6 +24,8 @@ from ensmbo.core import (
 from ensmbo.harness import (
     ALGORITHMS,
     ExperimentConfig,
+    _build_parser,
+    _experiment_config,
     cli_main,
     load_report,
     persist_report,
@@ -175,6 +178,14 @@ def test_persist_and_reload_recomputes_from_csv(tmp_path):
     assert report_markdown(reloaded) == (run_dir / "report.md").read_text()
 
 
+def test_persist_rejects_a_config_the_report_did_not_run(tmp_path):
+    cfg = fast_config(algorithms=("mean",), steps=1)
+    report = run_experiment(cfg)
+    with pytest.raises(ValueError, match="configuration the report ran"):
+        persist_report(report, replace(cfg, algorithms=("mean", "mgda")), tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
 def test_byte_identical_artifacts_across_runs(tmp_path):
     cfg = fast_config(algorithms=("single", "cagrad"))
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -306,6 +317,19 @@ def test_cli_gen_task(tmp_path):
     assert len(mbo) == 5_000
 
 
+def test_cli_gen_task_from_csv_writes_under_out(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    csv_path = _csv_task(src / "data.csv", np.linspace(0.0, 1.0, 40))
+    before = sorted(p.name for p in src.iterdir())
+    out = tmp_path / "out"
+    assert cli_main(["gen-task", "--task", str(csv_path), "--out", str(out)]) == 0
+    total, _ = read_dataset_csv(out / "data_total.csv")
+    mbo, _ = read_dataset_csv(out / "data_mbo.csv")
+    assert (len(total), len(mbo)) == (40, 20)
+    assert sorted(p.name for p in src.iterdir()) == before
+
+
 def test_cli_report_rerenders(tmp_path, capsys):
     assert cli_main([
         "run", "--task", "bowl", "--seed", "3", "--m", "2", "--epochs", "2",
@@ -343,6 +367,56 @@ def test_cli_config_file(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "bowl-s4" / "results.json").read_text())
     assert payload["algorithms"] == ["mean"]
+
+
+SMALL_RUN_FILE = {"task": "bowl", "task_seed": 4, "k_fraction": 0.3, "ensemble_size": 2,
+                  "n_candidates": 4, "steps": 2, "train": {"epochs": 1}}
+
+
+def test_cli_config_file_alone_sets_every_field(tmp_path):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(SMALL_RUN_FILE))
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    run_dir = tmp_path / "bowl-s4"
+    config = json.loads((run_dir / "results.json").read_text())["config"]
+    for key in ("task", "task_seed", "k_fraction", "ensemble_size", "n_candidates", "steps"):
+        assert config[key] == SMALL_RUN_FILE[key], key
+    assert config["train"]["epochs"] == 1
+    assert load_ensemble(run_dir / "ensemble_seed4.bin").size == 2
+    csvs = sorted(run_dir.glob("designs_*.csv"))
+    assert [p.name for p in csvs] == sorted(f"designs_{alg}_seed4.csv" for alg in ALGORITHMS)
+    for path in csvs:
+        ds, _ = read_dataset_csv(path)
+        assert len(ds) == 4, path.name
+
+
+def test_cli_flags_override_config_file(tmp_path):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(SMALL_RUN_FILE))
+    assert cli_main(["run", "--config", str(cfg_path), "--seed", "0", "--n-candidates", "3",
+                     "--steps", "1", "--combiner", "mean", "--out", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "bowl-s0" / "results.json").read_text())["config"]
+    assert (config["task_seed"], config["n_candidates"], config["steps"]) == (0, 3, 1)
+    assert config["algorithms"] == ["mean"]
+    # fields no flag named still come from the file
+    assert (config["k_fraction"], config["ensemble_size"], config["train"]["epochs"]) == (0.3, 2, 1)
+
+
+def test_experiment_config_precedence(tmp_path):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(dict(SMALL_RUN_FILE, task="ridge", train={"epochs": 1, "patience": 3})))
+
+    def resolve(*argv):
+        return _experiment_config(_build_parser().parse_args(list(argv)))
+
+    assert resolve("run") == ExperimentConfig()
+    for command in ("gen-task", "train", "tune"):
+        assert replace(resolve(command), algorithms=ALGORITHMS) == ExperimentConfig(), command
+    from_file = resolve("run", "--config", str(cfg_path))
+    assert (from_file.task, from_file.task_seed, from_file.train.patience) == ("ridge", 4, 3)
+    flagged = resolve("run", "--config", str(cfg_path), "--task", "bowl", "--seed", "0", "--epochs", "2")
+    assert (flagged.task, flagged.task_seed) == ("bowl", 0)
+    assert (flagged.train.epochs, flagged.train.patience) == (2, 3)
 
 
 def test_cli_out_env_var(tmp_path, monkeypatch):
