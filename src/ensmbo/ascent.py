@@ -61,17 +61,13 @@ class Trajectory:
     ``final`` is a hard one-hot vector for discrete spaces and a raw
     task-unit vector for continuous ones.  When recording is on, ``xs``,
     ``preds`` and ``d_norms`` hold steps+1 states in the optimization
-    representation.  ``lockstep_solves`` / ``fallback_solves`` count the
-    MGDA or CAGrad solves of this trajectory that the lockstep solve
-    finished and that needed projected gradient descent.
+    representation.
     """
 
     final: np.ndarray
     xs: np.ndarray | None = None
     preds: np.ndarray | None = None
     d_norms: np.ndarray | None = None
-    lockstep_solves: int = 0
-    fallback_solves: int = 0
 
 
 def harden_discrete(x: np.ndarray, space: DesignSpace) -> np.ndarray:
@@ -158,8 +154,6 @@ def _ascend_rows(X: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentCo
     """
     bank = _ModelBank(ens.models)
     warm = np.full((X.shape[0], ens.size), np.nan)  # NaN: a cold start
-    lockstep = np.zeros(X.shape[0], dtype=int)
-    fallback = np.zeros(X.shape[0], dtype=int)
 
     def direction(X):
         vals, grads = bank.value_and_grad(X)
@@ -183,8 +177,6 @@ def _ascend_rows(X: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentCo
             D[rows] = out.d
             solved = ~np.isnan(out.w).any(axis=1)
             warm[rows[solved]] = out.w[solved]
-            lockstep[rows[~out.fallback]] += 1
-            fallback[rows[out.fallback]] += 1
             failed.update({int(rows[i]): exc for i, exc in out.errors.items()})
         for i in np.flatnonzero(~np.isfinite(D).all(axis=1)):
             failed.setdefault(int(i), ValueError("combined gradient must be finite"))
@@ -212,7 +204,7 @@ def _ascend_rows(X: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentCo
     out = []
     for i, x in enumerate(X):
         final = harden_discrete(x, space) if space.is_discrete else denormalize_design(x, space)
-        traj = Trajectory(final=final, lockstep_solves=int(lockstep[i]), fallback_solves=int(fallback[i]))
+        traj = Trajectory(final=final)
         if record:
             traj.xs = np.array([a[i] for a in xs])
             traj.preds = np.array([a[i] for a in preds])

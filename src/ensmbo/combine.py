@@ -12,21 +12,21 @@ each combiner produces one update direction d:
 
 MGDA and CAGrad are solved through their simplex-constrained duals
 (m decision variables) by one engine that solves a stack of gradient sets
-in lockstep: an exact active-set solve (MGDA) or active-set Newton
-(CAGrad), with projected gradient descent for a set it leaves above the
-residual tolerance.  The per-point solvers are its one-row case.
+in lockstep: Wolfe's min-norm-point algorithm (MGDA), or active-set
+Newton with an exact step at the dual's kink g_w = 0 (CAGrad).  The
+per-point solvers are its one-row case.
 Low-dimensional primal reference solvers maximize over d directly and
 serve as independent oracles in the test suite.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-MAX_ITER = 5000
 SMOOTH_EPS = 1e-12  # smoothing of ||g_w|| in the CAGrad dual
 WEIGHT_FLOOR = -1e-12
 WEIGHT_SUM_TOL = 1e-10
@@ -35,7 +35,7 @@ DUAL_TOL = 1e-8  # residual tolerance of the dual solvers
 
 
 class SolverError(RuntimeError):
-    """Raised when a dual solve fails to converge; carries the best iterate."""
+    """Raised when a dual solve fails to converge; carries the last iterate."""
 
     def __init__(self, message: str, weights: np.ndarray, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")
@@ -165,68 +165,21 @@ def _project_rows(v):
     return np.maximum(v - theta[:, None], 0.0)
 
 
-def _pgd_simplex(value, grad, w0, max_iter):
-    """Projected gradient descent with backtracking on the simplex from the
-    projection of w0, until the unit-step projected-gradient-mapping norm is
-    at most DUAL_TOL or the line search fails."""
-    w = project_to_simplex(w0)
-    f = value(w)
-    step = 1.0
-    for _ in range(max_iter):
-        g = grad(w)
-        r = w - project_to_simplex(w - g)
-        if float(np.sqrt(r @ r)) <= DUAL_TOL:
-            return w
-        accepted = False
-        for _ in range(60):
-            w_new = project_to_simplex(w - step * g)
-            delta = w_new - w
-            quad = float(delta @ delta)
-            if quad == 0.0:
-                break  # stuck at a vertex the gradient cannot leave
-            f_new = value(w_new)
-            if f_new <= f + float(g @ delta) + 0.5 / step * quad + 1e-18:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        w, f = w_new, f_new
-        step = min(step * 2.0, 1e9)
-    return w
-
-
-def _cagrad_objective(gram, b, sqrt_phi):
-    """The CAGrad dual <g_w, g0> + sqrt(phi)*||g_w|| (||g_w|| smoothed) and
-    its gradient, for ``_pgd_simplex``."""
-
-    def gw_norm_sm(w):
-        return float(np.sqrt(max(w @ gram @ w, 0.0) + SMOOTH_EPS))
-
-    def value(w):
-        return float(w @ b) + sqrt_phi * gw_norm_sm(w)
-
-    def grad(w):
-        return b + sqrt_phi * (gram @ w) / gw_norm_sm(w)
-
-    return value, grad
-
-
 # ---------------------------------------------------------------------------
 # The dual solver engine
 # ---------------------------------------------------------------------------
 #
 # ``solve_mgda_batch`` and ``solve_cagrad_batch`` solve B gradient sets at
-# once, every row in lockstep: an exact active-set solve (MGDA) or an
+# once, every row in lockstep: Wolfe's min-norm-point algorithm (MGDA) or an
 # active-set Newton solve (CAGrad) from each row's warm start.  Rows whose
 # support (or free set) has the same size k are gathered into one
-# (G, k+1, k+1) stack of KKT matrices for one stacked LAPACK solve, a row
-# whose system is singular is solved by least squares on its own matrix, and
+# (G, k+1, k+1) stack of KKT matrices for one stacked LAPACK solve, and
 # every other operation is one dot product or gemv per row (with Python's
-# float power), so a row's result does not depend on the other rows.  A row
-# left with a residual above DUAL_TOL runs projected gradient descent and a
-# second lockstep solve from its result.  ``solve_mgda_dual`` and
-# ``solve_cagrad_dual`` are the one-row case.
+# float power), so a row's result does not depend on the other rows.  A
+# CAGrad row that Newton leaves above DUAL_TOL takes the exact tie step at
+# the g_w = 0 kink or one more Newton solve (``_unstall``); a row still above
+# DUAL_TOL is a SolverError.  ``solve_mgda_dual`` and ``solve_cagrad_dual`` are the
+# one-row case.
 
 _INNER, _OUTER, _DONE = range(3)
 
@@ -236,15 +189,13 @@ class BatchCombined:
     """Per-row results of a batched solve.
 
     ``d`` is (B, n) and ``w`` (B, m); a row of ``w`` is NaN where its solve
-    returned no weights or failed.  ``fallback`` marks the rows that needed
-    projected gradient descent, and ``errors`` maps a row to the exception
+    returned no weights or failed.  ``errors`` maps a row to the exception
     its solve raised (its ``d`` row is then NaN).  ``lambda_star`` (B,) is
     CAGrad's lambda*, None for MGDA.
     """
 
     d: np.ndarray
     w: np.ndarray
-    fallback: np.ndarray
     errors: dict
     lambda_star: np.ndarray | None = None
 
@@ -279,12 +230,9 @@ def _by_size(rows, mask):
         yield int(k), rows[sel], np.nonzero(sub[sel])[1].reshape(-1, k)
 
 
-def _solve_kkt(block, top, last, exact=False):
-    """Solve the stacked systems [[block, 1], [1^T, 0]] x = [top, last].
-
-    A row whose system is singular, or (with ``exact``) whose solution is
-    not finite or leaves a residual above 1e-8, is solved by least squares.
-    """
+def _solve_kkt(block, top, last):
+    """Solve the stacked systems [[block, 1], [1^T, 0]] x = [top, last]; the
+    solution of a row whose system is singular is NaN."""
     g, k = block.shape[0], block.shape[1]
     kkt = np.zeros((g, k + 1, k + 1))
     kkt[:, :k, :k] = block
@@ -293,22 +241,14 @@ def _solve_kkt(block, top, last, exact=False):
     rhs = np.zeros((g, k + 1))
     rhs[:, :k] = top
     rhs[:, k] = last
-    bad = np.zeros(g, dtype=bool)
     try:
-        x = np.linalg.solve(kkt, rhs[:, :, None])[:, :, 0]
+        return np.linalg.solve(kkt, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:  # one singular row fails the whole stack
         x = np.full((g, k + 1), np.nan)
         for i in range(g):
-            try:
+            with contextlib.suppress(np.linalg.LinAlgError):
                 x[i] = np.linalg.solve(kkt[i], rhs[i])
-            except np.linalg.LinAlgError:
-                bad[i] = True
-    if exact:
-        with np.errstate(invalid="ignore"):
-            bad |= ~(np.abs(_matvec(kkt, x) - rhs).max(axis=1) <= 1e-8)
-    for i in np.flatnonzero(bad):
-        x[i] = np.linalg.lstsq(kkt[i], rhs[i], rcond=None)[0]
-    return x
+        return x
 
 
 def _residual(w, g):
@@ -340,33 +280,13 @@ def _check_batch(grads, w0):
     return grads, w0
 
 
-def _pgd_phase(w, res, budgets, objective, polish, gradient):
-    """Projected gradient descent for the rows whose residual is above
-    DUAL_TOL, one budget after the other: PGD from the row's best iterate,
-    then ``polish`` (the lockstep solve) from PGD's result.  A candidate,
-    the polished one first, replaces the best iterate when its residual is
-    no larger.  Updates w and res in place; returns the rows that ran PGD."""
-    redo = ran = np.flatnonzero(res > DUAL_TOL)
-    for budget in budgets:
-        if redo.size == 0:
-            break
-        w_pgd = np.array([_pgd_simplex(*objective(i), w[i], budget) for i in redo])
-        for cand in (polish(redo, w_pgd), w_pgd):
-            r = _residual(cand, gradient(redo, cand))
-            better = r <= res[redo]
-            w[redo[better]], res[redo[better]] = cand[better], r[better]
-        redo = redo[~(res[redo] <= DUAL_TOL)]
-    return ran
-
-
-def _finish(rows, d_rows, w_rows, res, name, d, w, ran, **internals) -> BatchCombined:
-    """Place the solved rows into d and w, record a SolverError for a row
-    whose residual stays above DUAL_TOL, and apply the checks of
+def _finish(rows, d_rows, w_rows, res, failures, d, w, **internals) -> BatchCombined:
+    """Place the solved rows into d and w, record a SolverError for each
+    failure (a position in rows and its message), and apply the checks of
     SimplexWeights and CombinedGradient to every row (a row of w that is all
     NaN has no weights).  A failed row's d and w become NaN."""
-    errors = {int(rows[i]): SolverError(f"{name} dual did not converge", weights=w_rows[i],
-                                        residual=float(res[i]))
-              for i in np.flatnonzero(res > DUAL_TOL)}
+    errors = {int(rows[i]): SolverError(msg, weights=w_rows[i], residual=float(res[i]))
+              for i, msg in failures.items()}
     d[rows], w[rows] = d_rows, w_rows
     low = w.min(axis=1, initial=0.0) < WEIGHT_FLOOR
     w = np.maximum(w, 0.0)
@@ -377,37 +297,53 @@ def _finish(rows, d_rows, w_rows, res, name, d, w, ran, **internals) -> BatchCom
             errors.setdefault(int(i), ValueError(msg))
     failed = list(errors)
     d[failed], w[failed] = np.nan, np.nan
-    fallback = np.zeros(d.shape[0], dtype=bool)
-    fallback[rows[ran]] = True
-    return BatchCombined(d=d, w=w, fallback=fallback, errors=errors, **internals)
+    return BatchCombined(d=d, w=w, errors=errors, **internals)
 
 
 def _min_norm_rows(gram, w):
-    """Active-set min-norm solve of each row's Gram matrix from the start
-    weights w, taken as given.  Each pass solves the face of the row's
-    support in closed form, drops a negative weight from the support or adds
-    the gradient with the most violated KKT condition to it.  A row that
-    stalls or runs out of passes keeps its last iterate.  Returns (w, gram @ w)."""
+    """Wolfe's min-norm-point algorithm on each row's Gram matrix from the
+    start weights w, taken as given.  Each pass solves the affine minimizer
+    of the row's support in closed form.  If it has a negative weight, the
+    minor cycle moves toward it until the first weight reaches zero and
+    drops the zero weights; else it is the new iterate, and the gradient
+    with the most violated KKT condition joins the support.  A singular or
+    inexact KKT solve (an affinely dependent start support) restarts the
+    row at its least-norm vertex; a row that stalls or runs out of passes
+    keeps its last iterate.  Returns (w, gram @ w)."""
     m = w.shape[1]
     support = w > 1e-9
-    w, grad_w = w.copy(), _matvec(gram, w)
+    w = np.where(support, w, 0.0)
     active = np.ones(w.shape[0], dtype=bool)
     for _ in range(4 * m + 8):
         if not active.any():
             break
         for k, grp, idx in _by_size(np.flatnonzero(active), support):
-            if k == 1:
-                w_s = np.ones((grp.shape[0], 1))
-            else:
-                w_s = _solve_kkt(_gather(gram[grp], idx), 0.0, 1.0, exact=True)[:, :k]
-            drop = w_s.min(axis=1) < -1e-12
-            support[grp[drop], idx[drop, np.argmin(w_s[drop], axis=1)]] = False
-            grp, idx, w_s = grp[~drop], idx[~drop], w_s[~drop]
+            block = _gather(gram[grp], idx)
+            sol = _solve_kkt(block, 0.0, 1.0)
+            w_s = sol[:, :k]
+            with np.errstate(invalid="ignore"):
+                err = np.hstack([_matvec(block, w_s) + sol[:, k:], w_s.sum(axis=1)[:, None] - 1.0])
+                bad = ~(np.abs(err).max(axis=1) <= 1e-8)
+            reset = grp[bad]  # restart at the least-norm vertex
+            w[reset] = np.eye(m)[np.argmin(np.diagonal(gram[reset], axis1=1, axis2=2), axis=1)]
+            support[reset] = w[reset] > 0.0
+            grp, idx, w_s = grp[~bad], idx[~bad], w_s[~bad]
+            neg = w_s < -1e-12
+            minor = neg.any(axis=1)
+            if minor.any():  # step toward the minimizer until a weight reaches zero
+                sel, x, v = grp[minor], _rows_of(w[grp[minor]], idx[minor]), w_s[minor]
+                ratio = np.where(neg[minor], x, np.inf) / np.where(neg[minor], x - v, 1.0)
+                x = x + ratio.min(axis=1)[:, None] * (v - x)
+                x[np.arange(sel.shape[0]), ratio.argmin(axis=1)] = 0.0
+                x = np.maximum(x, 0.0)
+                w[sel[:, None], idx[minor]] = x / x.sum(axis=1)[:, None]
+                support[sel[:, None], idx[minor]] = x > 0.0
+            grp, idx, w_s = grp[~minor], idx[~minor], w_s[~minor]
             w_new = np.zeros((grp.shape[0], m))
             w_new[np.arange(grp.shape[0])[:, None], idx] = np.maximum(w_s, 0.0)
             w_new /= w_new.sum(axis=1)[:, None]
             inner = _matvec(gram[grp], w_new)  # <g_i, g_w>
-            w[grp], grad_w[grp] = w_new, inner
+            w[grp] = w_new
             dd = _rowdot(w_new, inner)
             j = np.argmin(inner, axis=1)
             done = inner[np.arange(grp.shape[0]), j] >= dd - 1e-12 * (1.0 + dd)
@@ -415,7 +351,7 @@ def _min_norm_rows(gram, w):
             active[grp[done | stalled]] = False
             grow = ~(done | stalled)
             support[grp[grow], j[grow]] = True
-    return w, grad_w
+    return w, _matvec(gram, w)
 
 
 def solve_mgda_batch(grads, w0) -> BatchCombined:
@@ -434,17 +370,14 @@ def solve_mgda_batch(grads, w0) -> BatchCombined:
 
     w, grad_w = _min_norm_rows(gram, _seeds(w0[rows], m))
     res = _residual(w, grad_w)
-    ran = _pgd_phase(w, res, (MAX_ITER,),
-                     lambda i: (lambda w_: 0.5 * float(w_ @ gram[i] @ w_), lambda w_: gram[i] @ w_),
-                     lambda sel, w_pgd: _min_norm_rows(gram[sel], w_pgd)[0],
-                     lambda sel, w_: _matvec(gram[sel], w_))
+    failures = dict.fromkeys(np.flatnonzero(res > DUAL_TOL).tolist(), "MGDA dual did not converge")
     d = _matvec(np.swapaxes(g_hat, 1, 2), w) * scale[:, None]
-    return _finish(rows, d, w, res, "MGDA", np.zeros((n_rows, n)), np.full((n_rows, m), 1.0 / m), ran)
+    return _finish(rows, d, w, res, failures, np.zeros((n_rows, n)), np.full((n_rows, m), 1.0 / m))
 
 
 def _cagrad_terms(gram, b, sqrt_phi, w):
-    """The smoothed ||g_w||, gram @ w and the dual gradient at each row's w,
-    computed as ``_cagrad_objective`` computes them."""
+    """The smoothed ||g_w||, gram @ w and the dual gradient at each row's w;
+    ||g_w|| is smoothed by SMOOTH_EPS."""
     quad = ((w[:, None, :] @ gram) @ w[:, :, None])[:, 0, 0]
     nrm = np.sqrt(np.where(0.0 > quad, 0.0, quad) + SMOOTH_EPS)
     mw = _matvec(gram, w)
@@ -600,6 +533,48 @@ def _newton_rows(gram, b, sqrt_phi, w):
     return w
 
 
+def _nullspace(rows: np.ndarray, dim: int) -> np.ndarray:
+    if rows.shape[0] == 0:
+        return np.eye(dim)
+    _, s, vt = np.linalg.svd(rows, full_matrices=True)
+    cutoff = max(rows.shape) * np.finfo(np.float64).eps * s[0]
+    rank = int(np.sum(s > cutoff))
+    return vt[rank:].T
+
+
+def _unstall(g_hat, g0, sqrt_phi, gram, b, w, start):
+    """CAGrad rows that Newton leaves above DUAL_TOL, from their iterates w.
+    Where a row's min-norm point (Wolfe's algorithm from w) is 0, at the
+    kink g_w = 0, no d gains on every gradient, and the tie step's d is
+    optimal if it lies in the ball with no gain below -DUAL_TOL: d projects
+    g0 onto the complement of the gradients that tie at gain 0, those of
+    the zero combination (weight above DUAL_TOL), then one by one the one
+    of least gain while that gain is below -DUAL_TOL.  Elsewhere the
+    optimum is off the kink, and Newton runs once more from ``start``.
+    Returns (w, d, res, kink), with d NaN where the tie step fails and res
+    0 where it does not."""
+    w_z, grad_z = _min_norm_rows(gram, w)
+    kink = _rowdot(w_z, grad_z) <= DUAL_TOL**2
+    d = np.full(g0.shape, np.nan)
+    for i in np.flatnonzero(kink):
+        tie = w_z[i] > DUAL_TOL
+        for _ in range(tie.size):
+            basis = _nullspace(g_hat[i, tie], g0.shape[1])
+            d_i = basis @ (basis.T @ g0[i])
+            gain = g_hat[i] @ d_i
+            j = int(np.argmin(gain))
+            if tie[j] or gain[j] >= -DUAL_TOL:
+                break
+            tie[j] = True
+        if gain[j] >= -DUAL_TOL and np.linalg.norm(d_i - g0[i]) <= sqrt_phi[i] * (1.0 + DUAL_TOL):
+            d[i] = d_i
+    redo = ~np.isfinite(d).all(axis=1)
+    w, res = w_z, np.zeros(w.shape[0])
+    w[redo] = _newton_rows(gram[redo], b[redo], sqrt_phi[redo], start[redo])
+    res[redo] = _residual(w[redo], _cagrad_terms(gram[redo], b[redo], sqrt_phi[redo], w[redo])[2])
+    return w, d, res, kink
+
+
 def solve_cagrad_batch(grads, cfg: CagradConfig, w0) -> BatchCombined:
     """The CAGrad update of each row of a (B, m, n) gradient stack.
 
@@ -631,9 +606,13 @@ def solve_cagrad_batch(grads, cfg: CagradConfig, w0) -> BatchCombined:
 
     w = _newton_rows(gram, b, sqrt_phi, _project_rows(_seeds(w0[rows], m)))
     res = _residual(w, _cagrad_terms(gram, b, sqrt_phi, w)[2])
-    ran = _pgd_phase(w, res, (40, MAX_ITER), lambda i: _cagrad_objective(gram[i], b[i], float(sqrt_phi[i])),
-                     lambda sel, w_pgd: _newton_rows(gram[sel], b[sel], sqrt_phi[sel], _project_rows(w_pgd)),
-                     lambda sel, w_: _cagrad_terms(gram[sel], b[sel], sqrt_phi[sel], w_)[2])
+    d_tie, kink = np.full(g0.shape, np.nan), np.zeros(rows.size, dtype=bool)
+    stalled = np.flatnonzero(res > DUAL_TOL)
+    if stalled.size:  # a restart starts at the vertex of least gain along g0
+        args = (a[stalled] for a in (g_hat, g0, sqrt_phi, gram, b, w, w_ball[rows]))
+        w[stalled], d_tie[stalled], res[stalled], kink[stalled] = _unstall(*args)
+    failures = {i: "CAGrad dual stalled at the g_w = 0 kink" if kink[i] else "CAGrad dual did not converge"
+                for i in np.flatnonzero(res > DUAL_TOL).tolist()}
     g_w = _matvec(np.swapaxes(g_hat, 1, 2), w)
     g_w_norm = np.sqrt(_rowdot(g_w, g_w))
     lam[rows] = g_w_norm / sqrt_phi  # ||g_w|| / sqrt(phi), scale-invariant
@@ -641,7 +620,8 @@ def solve_cagrad_batch(grads, cfg: CagradConfig, w0) -> BatchCombined:
     # smoothed norm keeps the step inside the ball by construction
     d_hat = np.where((g_w_norm == 0.0)[:, None], g0,
                      g0 + sqrt_phi[:, None] * g_w / np.sqrt(g_w_sq + SMOOTH_EPS)[:, None])
-    return _finish(rows, d_hat * scale[:, None], w, res, "CAGrad", d_ball, w_ball, ran, lambda_star=lam)
+    d_hat = np.where(np.isnan(d_tie), d_hat, d_tie)
+    return _finish(rows, d_hat * scale[:, None], w, res, failures, d_ball, w_ball, lambda_star=lam)
 
 
 def _one_row(batch_solve, gs: GradientSet, w0, cfg: CagradConfig | None = None) -> CombinedGradient:
@@ -688,88 +668,53 @@ def solve_cagrad_dual(gs: GradientSet, cfg: CagradConfig, w0: np.ndarray | None 
 # the small m used in tests; every candidate is evaluated with the true
 # objective so the best one is the global maximizer.
 
-def _nullspace(rows: np.ndarray, dim: int) -> np.ndarray:
-    if rows.shape[0] == 0:
-        return np.eye(dim)
-    _, s, vt = np.linalg.svd(rows, full_matrices=True)
-    cutoff = max(rows.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return vt[rank:].T
-
-
-def _check_primal_dim(gs: GradientSet):
+def _tie_subspaces(gs: GradientSet):
+    """(anchor, basis) for every candidate active set of gs, lazily: its
+    first gradient, and an orthonormal basis of the d on which it ties."""
     if gs.dim > PRIMAL_MAX_DIM:
-        raise ValueError(
-            f"primal reference solver supports n <= {PRIMAL_MAX_DIM}; use the dual solver"
-        )
+        raise ValueError(f"primal reference solver supports n <= {PRIMAL_MAX_DIM}; use the dual solver")
+    g = gs.grads
+    return ((g[s[0]], _nullspace(g[list(s[1:])] - g[s[0]], gs.dim))
+            for k in range(1, gs.m + 1) for s in itertools.combinations(range(gs.m), k))
 
 
 def solve_mgda_primal_reference(gs: GradientSet) -> CombinedGradient:
     """Direct maximization of min_i <d, g_i> - 0.5*||d||^2 over d."""
-    _check_primal_dim(gs)
-    grads = gs.grads
-    m, n = grads.shape
 
     def objective(d):
-        return float(np.min(grads @ d)) - 0.5 * float(d @ d)
+        return float(np.min(gs.grads @ d)) - 0.5 * float(d @ d)
 
-    best_d = np.zeros(n)
-    best_val = objective(best_d)
-    for k in range(1, m + 1):
-        for subset in itertools.combinations(range(m), k):
-            anchor = grads[subset[0]]
-            rows = grads[list(subset[1:])] - anchor
-            basis = _nullspace(rows, n)
-            if basis.shape[1] == 0:
-                continue  # tie subspace is {0}; covered by the zero candidate
-            d = basis @ (basis.T @ anchor)
-            val = objective(d)
-            if val > best_val:
-                best_val, best_d = val, d
-    return CombinedGradient(d=best_d)
+    # a tie subspace {0} is covered by the zero candidate
+    candidates = [basis @ (basis.T @ anchor) for anchor, basis in _tie_subspaces(gs) if basis.shape[1]]
+    return CombinedGradient(d=max([np.zeros(gs.dim)] + candidates, key=objective))
 
 
 def solve_cagrad_primal_reference(gs: GradientSet, cfg: CagradConfig) -> CombinedGradient:
     """Direct maximization of min_i <d, g_i> within ||d - g0|| <= c*||g0||."""
-    _check_primal_dim(gs)
-    grads = gs.grads
-    m, n = grads.shape
+    subspaces = _tie_subspaces(gs)
     g0 = gs.mean_grad
     radius = cfg.c * float(np.linalg.norm(g0))
-
-    def objective(d):
-        return float(np.min(grads @ d))
-
     if radius == 0.0:
         return CombinedGradient(d=g0.copy())
 
-    best_d = g0.copy()
-    best_val = objective(best_d)
-    for k in range(1, m + 1):
-        for subset in itertools.combinations(range(m), k):
-            anchor = grads[subset[0]]
-            rows = grads[list(subset[1:])] - anchor
-            basis = _nullspace(rows, n)
-            if basis.shape[1] == 0:
-                d = np.zeros(n)
-                if float(np.linalg.norm(g0)) > radius * (1.0 + 1e-12):
-                    continue
-            else:
-                q = basis.T @ g0
-                off = g0 - basis @ q
-                slack = radius**2 - float(off @ off)
-                if slack < -1e-12 * max(radius**2, 1.0):
-                    continue  # tie subspace misses the ball
-                rho = np.sqrt(max(slack, 0.0))
-                a = basis.T @ anchor
-                a_norm = float(np.linalg.norm(a))
-                u = q + rho * a / a_norm if a_norm > 0.0 else q
-                d = basis @ u
-            # clip fp overshoot back onto the ball
-            excess = float(np.linalg.norm(d - g0))
-            if excess > radius:
-                d = g0 + (d - g0) * (radius / excess)
-            val = objective(d)
-            if val > best_val:
-                best_val, best_d = val, d
-    return CombinedGradient(d=best_d)
+    def candidate(anchor, basis):
+        """The best d of the tie subspace in the ball, or None if it misses the ball."""
+        if basis.shape[1] == 0:
+            if float(np.linalg.norm(g0)) > radius * (1.0 + 1e-12):
+                return None
+            d = np.zeros(gs.dim)
+        else:
+            q = basis.T @ g0
+            off = g0 - basis @ q
+            slack = radius**2 - float(off @ off)
+            if slack < -1e-12 * max(radius**2, 1.0):
+                return None
+            rho = np.sqrt(max(slack, 0.0))
+            a = basis.T @ anchor
+            a_norm = float(np.linalg.norm(a))
+            d = basis @ (q + rho * a / a_norm if a_norm > 0.0 else q)
+        excess = float(np.linalg.norm(d - g0))  # clip fp overshoot back onto the ball
+        return g0 + (d - g0) * (radius / excess) if excess > radius else d
+
+    candidates = [d for d in (candidate(*t) for t in subspaces) if d is not None]
+    return CombinedGradient(d=max([g0.copy()] + candidates, key=lambda d: float(np.min(gs.grads @ d))))

@@ -131,7 +131,6 @@ class AlgoResult:
     scores: np.ndarray
     finals_raw: np.ndarray  # raw task units (tokens or coordinates)
     wall_clock: float
-    solver_paths: dict = field(default_factory=dict)  # MGDA/CAGrad solves: lockstep, fallback (needed PGD)
 
 
 @dataclass(eq=False)
@@ -238,8 +237,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             acfg = AscentConfig(
                 steps=cfg.steps, alpha=alpha, combiner=Combiner(alg), cagrad_c=cagrad_c
             )
-            trajs = _ascend(starts, space_run, ens, acfg, task.name, rs)
-            finals = [t.final for t in trajs]
+            finals = [t.final for t in _ascend(starts, space_run, ens, acfg, task.name, rs)]
             if task.oracle is not None:
                 if task.oracle.calls != sum(r.scores.shape[0] for r in results):
                     raise RuntimeError("oracle was touched outside the evaluation stage")
@@ -255,8 +253,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                     scores=scores,
                     finals_raw=_finals_to_raw(finals, space_run),
                     wall_clock=time.perf_counter() - a0,
-                    solver_paths={"lockstep": sum(t.lockstep_solves for t in trajs),
-                                  "fallback": sum(t.fallback_solves for t in trajs)},
                 )
             )
 
@@ -434,9 +430,7 @@ def persist_report(report: RunReport, cfg: ExperimentConfig, run_dir: Path) -> N
     )
     (run_dir / "report.md").write_text(report_markdown(report), encoding="utf-8")
     timings = {"train_seconds": {str(k): v for k, v in report.train_seconds.items()},
-               "algo_seconds": {f"{r.algorithm}/seed{r.run_seed}": r.wall_clock for r in report.results},
-               "solver_paths": {f"{r.algorithm}/seed{r.run_seed}": r.solver_paths
-                                for r in report.results if any(r.solver_paths.values())}}
+               "algo_seconds": {f"{r.algorithm}/seed{r.run_seed}": r.wall_clock for r in report.results}}
     (run_dir / "timings.json").write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n",
                                           encoding="utf-8")
 
@@ -500,6 +494,17 @@ def _add_ascent(p: argparse.ArgumentParser):
     p.add_argument("--cagrad-c", type=float, help="CAGrad c (default: per task)")
 
 
+def _seed_list(text: str) -> tuple:
+    """The ``--run-seeds`` value: comma-separated integers."""
+    seeds = []
+    for piece in text.split(","):
+        try:
+            seeds.append(int(piece))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{piece!r} in {text!r} is not an integer") from None
+    return tuple(seeds)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ensmbo", description="Ensemble-based offline model-based optimization"
@@ -524,7 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--combiner", help="comma-separated algorithm subset (default: all five)")
     run.add_argument("--n-candidates", type=int,
                      help=f"designs per algorithm (default {ExperimentConfig.n_candidates})")
-    run.add_argument("--run-seeds", help="comma-separated run seeds (default: the task seed)")
+    run.add_argument("--run-seeds", type=_seed_list, help="comma-separated run seeds (default: the task seed)")
     run.add_argument("--config", help="JSON config file mirroring ExperimentConfig; flags override it")
 
     rep = sub.add_parser("report", help="re-render a stored run report")
@@ -550,7 +555,7 @@ def _experiment_config(args) -> ExperimentConfig:
     if getattr(args, "combiner", None):
         given["algorithms"] = tuple(s.strip() for s in args.combiner.split(",") if s.strip())
     if getattr(args, "run_seeds", None):
-        given["run_seeds"] = tuple(int(s) for s in args.run_seeds.split(","))
+        given["run_seeds"] = args.run_seeds
     if args.epochs is not None:
         given["train"] = replace(cfg.train, epochs=args.epochs)
     return replace(cfg, **given)

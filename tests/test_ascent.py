@@ -356,20 +356,6 @@ def test_row_result_independent_of_other_rows(combiner):
         assert np.array_equal(traj.final, full[pos].final)
 
 
-def test_solver_path_counts():
-    space, ens, starts = _lockstep_case(False)
-    cfg = AscentConfig(steps=6, alpha=0.3, combiner=Combiner.CAGRAD, record_trajectory=True)
-    for traj in ascend_batch(starts, space, ens, cfg):
-        assert traj.lockstep_solves + traj.fallback_solves == 7  # steps + the recorded final state
-    # all-zero gradients are a closed-form solve, with no projected gradient descent
-    zero = Ensemble(models=[zero_model(2), zero_model(2)])
-    for traj in ascend_batch([np.zeros(2), np.ones(2)], identity_space(2), zero,
-                             AscentConfig(steps=5, alpha=0.1, combiner=Combiner.MGDA)):
-        assert (traj.lockstep_solves, traj.fallback_solves) == (5, 0)
-    unsolved = ascend_batch(starts, space, ens, AscentConfig(steps=5, alpha=0.1, combiner=Combiner.MEAN))
-    assert all(t.lockstep_solves == t.fallback_solves == 0 for t in unsolved)
-
-
 class _BlowsUp:
     """f(x) = x[0] with gradient (1, 0), non-finite from x[0] = 5.5 on."""
 

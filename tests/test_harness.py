@@ -348,6 +348,13 @@ def test_cli_unknown_flag_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("seeds, piece", [("1,,2", "''"), ("1,x", "'x'")])
+def test_cli_bad_run_seeds_name_the_flag_and_the_piece(seeds, piece, capsys):
+    assert cli_main(["run", "--task", "bowl", "--run-seeds", seeds]) == 2
+    err = capsys.readouterr().err
+    assert "--run-seeds" in err and f"{piece} in '{seeds}' is not an integer" in err
+
+
 def test_cli_error_exits_1(capsys):
     assert cli_main(["run", "--task", "nope"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -493,20 +500,6 @@ def test_constant_validation_targets_save_null_in_ensemble_file(tmp_path):
     assert [mh["val_spearman"] for mh in header["models"]] == [None, None]
     assert all(mh["val_mse"] >= 0.0 for mh in header["models"])
     assert [m.val_spearman for m in load_ensemble(path).models] == [None, None]
-
-
-def test_timings_count_lockstep_and_fallback_solves(tmp_path, capsys):
-    assert cli_main([
-        "run", "--task", "bowl", "--seed", "1", "--m", "2", "--epochs", "2", "--steps", "3",
-        "--n-candidates", "4", "--combiner", "mean,mgda,cagrad", "--out", str(tmp_path),
-    ]) == 0
-    run_dir = tmp_path / "bowl-s1"
-    paths = _strict_json(run_dir / "timings.json")["solver_paths"]
-    assert set(paths) == {"mgda/seed1", "cagrad/seed1"}
-    for counts in paths.values():
-        assert counts["lockstep"] + counts["fallback"] == 4 * 3
-    assert "solver_paths" not in _strict_json(run_dir / "results.json")
-    assert "fallback" not in capsys.readouterr().out
 
 
 def test_small_csv_names_rows_and_batch_size(tmp_path, capsys):
