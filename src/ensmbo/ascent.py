@@ -149,10 +149,13 @@ def _ascend_rows(X: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentCo
 
     Each step evaluates every member at every row at once and combines each
     row's gradients with the per-point combiner's arithmetic, warm-starting
-    MGDA and CAGrad from the row's weights of the step before.  Raises
+    MGDA and CAGrad from the row's weights of the step before.  An
+    unrecorded single-model run evaluates member 0 alone.  Raises
     _StepFailure for the first failing step.
     """
-    bank = _ModelBank(ens.models)
+    record = cfg.record_trajectory
+    only_first = cfg.combiner is Combiner.SINGLE and not record
+    bank = _ModelBank(ens.models[:1] if only_first else ens.models)
     warm = np.full((X.shape[0], ens.size), np.nan)  # NaN: a cold start
 
     def direction(X):
@@ -182,7 +185,6 @@ def _ascend_rows(X: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentCo
             failed.setdefault(int(i), ValueError("combined gradient must be finite"))
         return vals, D, failed
 
-    record = cfg.record_trajectory
     xs, preds, d_norms = [], [], []
     for k in range(cfg.steps + record):  # a recorded run also combines at the final state
         vals, D, failed = direction(X)
@@ -221,8 +223,10 @@ def _check_input_dim(space: DesignSpace, ens: Ensemble) -> None:
 def ascend(start: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentConfig) -> Trajectory:
     """Run the update loop from one starting design: ``ascend_batch`` of one.
 
-    The single-model combiner uses ensemble member 0; all members'
-    predictions are still recorded for tuning plots.
+    The single-model combiner uses ensemble member 0.  A recorded run
+    still evaluates every member, records all their predictions for tuning
+    plots and fails on any member's non-finite output; without recording
+    only member 0 is evaluated, so only member 0 can fail a ``single`` row.
     """
     _check_input_dim(space, ens)
     try:

@@ -1,10 +1,14 @@
 """Small fully-connected regression networks with exact input gradients.
 
 The proxy models are plain numpy MLPs (ReLU hidden layers, identity
-output) trained with Adam on mean squared error.  Everything is seeded,
-and the fold models of an ensemble train in worker processes pinned to
-one BLAS thread each, so a (data, config) pair reproduces the same
-weights bit for bit.
+output) trained with Adam on mean squared error.  A training step is
+fused: the parameters and their gradients live in flat buffers, and Adam
+and the finiteness check run once per step over them.  Everything is
+seeded, and the fold models of an ensemble train in worker processes
+pinned to one BLAS thread each.  A worker gets the dataset's raw rows and
+builds each fold's design matrices from that fold's rows, so a (data,
+config) pair reproduces the same weights bit for bit and no process holds
+the full design matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import pickle
 import struct
 import subprocess
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,9 +84,10 @@ class MlpModel:
 # The forward/backward kernel
 # ---------------------------------------------------------------------------
 #
-# Written with ``@`` only, so one code path serves a single model (weights
-# (d_in, d_out), biases (d_out,), input (d,) or (B, d)) and a stacked
-# ensemble (weights (m, d_in, d_out), biases (m, 1, d_out), input (B, d)).
+# Written with ``@`` and broadcasting elementwise operations only, so one
+# code path serves a single model (weights (d_in, d_out), biases (d_out,),
+# input (d,) or (B, d)) and a stacked ensemble (weights (m, d_in, d_out),
+# biases (m, 1, d_out), input (B, d)).
 # numpy runs a stacked product as one BLAS call per member with the same
 # shapes and strides as the single-model product, so both give the same
 # bits.  With weights (m, 1, d_in, d_out), biases (m, 1, 1, d_out) and
@@ -90,11 +95,26 @@ class MlpModel:
 
 
 def mlp_forward(weights, biases, x):
-    """Network output and the input of every layer (``acts[0]`` is ``x``)."""
+    """Network output and the input of every layer (``acts[0]`` is ``x``).
+    The bias add and the ReLU run in place on each layer's product."""
     acts = [x]
     for w, b in zip(weights[:-1], biases[:-1]):
-        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
-    return acts[-1] @ weights[-1] + biases[-1], acts
+        z = acts[-1] @ w
+        z += b
+        acts.append(np.maximum(z, 0.0, out=z))
+    out = acts[-1] @ weights[-1]
+    out += biases[-1]
+    return out, acts
+
+
+def _times_transpose(delta, w):
+    """``delta @ w.T`` over the last two axes.  Against one output column
+    (K = 1) every entry is a single product, so a broadcast multiply gives
+    the same bits at a third of the cost.  A 1-D ``delta`` keeps the
+    product's 1-D shape."""
+    if w.shape[-1] == 1 and delta.ndim > 1:
+        return delta * np.swapaxes(w, -1, -2)
+    return delta @ np.swapaxes(w, -1, -2)
 
 
 def mlp_backward(weights, acts, d_out):
@@ -102,7 +122,9 @@ def mlp_backward(weights, acts, d_out):
     (the sensitivity of the network output)."""
     deltas = [d_out]
     for w, a in zip(reversed(weights[1:]), reversed(acts[1:])):
-        deltas.append((deltas[-1] @ np.swapaxes(w, -1, -2)) * (a > 0.0))
+        delta = _times_transpose(deltas[-1], w)
+        delta *= a > 0.0
+        deltas.append(delta)
     return deltas[::-1]
 
 
@@ -110,7 +132,7 @@ def mlp_value_and_grad(weights, biases, x):
     """Network output and its gradient wrt the input ``x``."""
     out, acts = mlp_forward(weights, biases, x)
     delta = mlp_backward(weights, acts, np.ones_like(out))[0]
-    return out, delta @ np.swapaxes(weights[0], -1, -2)
+    return out, _times_transpose(delta, weights[0])
 
 
 def stack_mlps(models):
@@ -183,15 +205,45 @@ def _mse(model: MlpModel, X: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((pred - y) ** 2))
 
 
-def _adam_step(params, grads, m_state, v_state, t, lr):
-    for p, g, m, v in zip(params, grads, m_state, v_state):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+def _views(flat: np.ndarray, shapes) -> list:
+    """Consecutive views of a flat buffer, one per shape."""
+    ends = np.cumsum([int(np.prod(shape)) for shape in shapes])
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+
+
+def _adam_step(p, g, m, v, t, lr, tmp, step):
+    """One Adam update of the flat parameters ``p`` by the flat gradient
+    ``g``, in place; ``tmp`` and ``step`` are scratch of the same size.
+    Per element it is m_hat = m / (1 - beta1^t), v_hat = v / (1 - beta2^t),
+    p -= lr * m_hat / (sqrt(v_hat) + eps), in that operation order."""
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+    tmp *= g
+    v += tmp
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
+    step *= lr
+    step /= tmp
+    p -= step
+
+
+def _check_rows(n: int, cfg: TrainConfig) -> None:
+    if n < cfg.batch_size:
+        raise ValueError(
+            f"need at least batch_size training rows: got {n} rows for batch_size "
+            f"{cfg.batch_size}; set train.batch_size in an `ensmbo run --config` file"
+        )
+
+
+def _holdout(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The seeded 90/10 split of n rows: (validation rows, training rows)."""
+    n_val = max(1, n // 10)
+    perm = rng.permutation(n)
+    return perm[:n_val], perm[n_val:]
 
 
 def train_arrays(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
@@ -199,31 +251,45 @@ def train_arrays(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     """Train on explicit arrays (optimization representation).
 
     When no validation arrays are given, a seeded 90/10 split is carved out
-    of the training data. Aborts if the loss goes non-finite.
+    of the training data. Aborts with ``FloatingPointError`` if the loss or
+    the weights go non-finite.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.shape[0] < cfg.batch_size:
-        raise ValueError(
-            f"need at least batch_size training rows: got {X.shape[0]} rows for batch_size "
-            f"{cfg.batch_size}; set train.batch_size in an `ensmbo run --config` file"
-        )
+    _check_rows(X.shape[0], cfg)
     rng = np.random.default_rng(cfg.seed)
     if X_val is None:
-        n_val = max(1, X.shape[0] // 10)
-        perm = rng.permutation(X.shape[0])
-        X_val, y_val = X[perm[:n_val]], y[perm[:n_val]]
-        X, y = X[perm[n_val:]], y[perm[n_val:]]
+        val, rows = _holdout(X.shape[0], rng)
+        X_val, y_val = X[val], y[val]
+        X, y = X[rows], y[rows]
+    return _fit(X, y, X_val, y_val, cfg, rng)
 
+
+def _fit(X, y, X_val, y_val, cfg: TrainConfig, rng: np.random.Generator) -> MlpModel:
+    """The training loop of ``train_arrays``, after its split.
+
+    One step is fused: the weights and biases are views into one flat
+    buffer, the kernel's products write the gradients into views of a flat
+    gradient buffer, and Adam and the finiteness check run once over the
+    flat buffers.  The weights are bitwise those of one Adam loop per
+    parameter array.
+    """
     model = init_mlp(X.shape[1], hidden=cfg.hidden, rng=rng)
-    params = model.weights + model.biases
-    m_state = [np.zeros_like(p) for p in params]
-    v_state = [np.zeros_like(p) for p in params]
+    n_layers = len(model.weights)
+    shapes = [p.shape for p in model.weights + model.biases]
+    flat = np.concatenate([p.ravel() for p in model.weights + model.biases])
+    params = _views(flat, shapes)
+    model.weights, model.biases = params[:n_layers], params[n_layers:]
+    grad = np.empty_like(flat)
+    grads = _views(grad, shapes)
+    grads_w, grads_b = grads[:n_layers], grads[n_layers:]
+    n_w = sum(w.size for w in model.weights)  # the weights lead the flat buffers
+    m_state, v_state = np.zeros_like(flat), np.zeros_like(flat)
+    tmp, step = np.empty_like(flat), np.empty_like(flat)
     t = 0
 
     best_val = np.inf
-    best_weights = [w.copy() for w in model.weights]
-    best_biases = [b.copy() for b in model.biases]
+    best = flat.copy()
     stale = 0
 
     n = X.shape[0]
@@ -234,37 +300,34 @@ def train_arrays(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
             xb, yb = X[idx], y[idx]
             with np.errstate(over="ignore", invalid="ignore"):
                 out, acts = mlp_forward(model.weights, model.biases, xb)
-                pred = out[:, 0]
-                loss = np.mean((pred - yb) ** 2)
-                if not np.isfinite(loss):
+                err = out[:, 0] - yb
+                if not np.isfinite(np.add.reduce(err * err)):  # finite exactly when the mean is
                     raise FloatingPointError(
                         f"non-finite training loss at epoch {epoch}, batch offset {start}"
                     )
-                dpred = (2.0 / idx.shape[0]) * (pred - yb)
-                deltas = mlp_backward(model.weights, acts, dpred[:, None])
-                grads_w = [a.T @ delta for a, delta in zip(acts, deltas)]
-                grads_b = [delta.sum(axis=0) for delta in deltas]
+                err *= 2.0 / idx.shape[0]
+                deltas = mlp_backward(model.weights, acts, err[:, None])
+                for a, delta, gw, gb in zip(acts, deltas, grads_w, grads_b):
+                    np.matmul(a.T, delta, out=gw)
+                    np.add.reduce(delta, axis=0, out=gb)
                 if cfg.weight_decay:
-                    for gw, w in zip(grads_w, model.weights):
-                        gw += cfg.weight_decay * w
+                    grad[:n_w] += np.multiply(flat[:n_w], cfg.weight_decay, out=tmp[:n_w])
             t += 1
-            _adam_step(params, grads_w + grads_b, m_state, v_state, t, cfg.learning_rate)
-            for p in params:
-                if not np.all(np.isfinite(p)):
-                    raise FloatingPointError(f"non-finite weights after epoch {epoch} update")
+            _adam_step(flat, grad, m_state, v_state, t, cfg.learning_rate, tmp, step)
+            if not np.isfinite(flat).all():
+                raise FloatingPointError(f"non-finite weights after epoch {epoch} update")
         val = _mse(model, X_val, y_val)
         if val < best_val:
             best_val = val
-            best_weights = [w.copy() for w in model.weights]
-            best_biases = [b.copy() for b in model.biases]
+            best[:] = flat
             stale = 0
         else:
             stale += 1
             if stale >= cfg.patience:
                 break
 
-    model.weights = best_weights
-    model.biases = best_biases
+    params = _views(best, shapes)
+    model.weights, model.biases = params[:n_layers], params[n_layers:]
     model.val_mse = best_val
     try:
         model.val_spearman = spearman(model.forward_batch(X_val), y_val)
@@ -273,12 +336,29 @@ def train_arrays(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     return model
 
 
+def _train_rows(data: Dataset, rows, val_rows, cfg: TrainConfig, rng: np.random.Generator) -> MlpModel:
+    """Train on the dataset's ``rows`` and validate on its ``val_rows``.
+
+    The design matrices are built from those rows alone: the encoding and
+    the normalization are elementwise, so they equal the rows of the full
+    matrix bit for bit, and no one holds the full matrix.
+    """
+    def matrix(idx):
+        return design_matrix(Dataset(data.space, data.designs[idx], data.scores[idx]))
+
+    return _fit(matrix(rows), data.scores[rows], matrix(val_rows), data.scores[val_rows], cfg, rng)
+
+
 def train(data: Dataset, cfg: TrainConfig, val: Dataset | None = None) -> MlpModel:
-    """Supervised regression on a dataset; seeded and deterministic."""
-    X = design_matrix(data)
+    """Supervised regression on a dataset; seeded and deterministic.
+    Without ``val`` it is ``train_arrays`` with its internal 90/10 split,
+    each side's matrix built from its own rows."""
     if val is not None:
-        return train_arrays(X, data.scores, cfg, design_matrix(val), val.scores)
-    return train_arrays(X, data.scores, cfg)
+        return train_arrays(design_matrix(data), data.scores, cfg, design_matrix(val), val.scores)
+    _check_rows(len(data), cfg)
+    rng = np.random.default_rng(cfg.seed)
+    val_rows, rows = _holdout(len(data), rng)
+    return _train_rows(data, rows, val_rows, cfg, rng)
 
 
 def train_ensemble(data: Dataset, m: int, cfg: TrainConfig) -> Ensemble:
@@ -290,21 +370,22 @@ def train_ensemble(data: Dataset, m: int, cfg: TrainConfig) -> Ensemble:
 
     The folds train in W = min(m, usable CPUs) worker processes, each at
     one BLAS thread; worker w trains folds w, w + W, w + 2W, ....  With
-    W < 2 they train in this process.  Either way the models are the ones
-    ``train_arrays`` gives fold by fold in this process, bit for bit, and
-    come back in fold order.  A fold that fails raises what training it
-    in this process would raise, from the lowest failing fold; a worker
-    that ends without a result raises ``RuntimeError`` naming it, its
-    folds and its exit code.  Every worker has ended when this returns
-    or raises.
+    W < 2 they train in this process.  A worker gets the dataset's raw
+    rows (tokens or coordinates, scores and space), not its design
+    matrix.  Each fold, in a worker or here, builds its training and
+    validation matrices from its own rows, so no path builds the full
+    matrix.  Either way the models are the ones ``train_arrays`` gives on
+    the full matrix's fold rows, bit for bit, and come back in fold order.
+    A fold that fails raises what training it in this process would
+    raise, from the lowest failing fold; a worker that ends without a
+    result raises ``RuntimeError`` naming it, its folds and its exit code.
+    Every worker has ended when this returns or raises.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    X = design_matrix(data)
-    y = data.scores
     n = len(data)
     if m == 1:
-        return Ensemble(models=[train_arrays(X, y, cfg)])
+        return Ensemble(models=[train(data, cfg)])
     if n < m:
         raise ValueError("fold smaller than 1 sample")
     rng = np.random.default_rng(cfg.seed)
@@ -312,14 +393,14 @@ def train_ensemble(data: Dataset, m: int, cfg: TrainConfig) -> Ensemble:
     folds = np.array_split(perm, m)
     n_workers = min(m, len(os.sched_getaffinity(0)))
     if n_workers < 2:
-        return Ensemble(models=[_train_fold(X, y, folds, i, cfg) for i in range(m)])
-    return Ensemble(models=_train_in_workers(X, y, folds, cfg, n_workers))
+        return Ensemble(models=[_train_fold(data, folds, i, cfg) for i in range(m)])
+    return Ensemble(models=_train_in_workers(data, folds, cfg, n_workers))
 
 
-def _train_fold(X, y, folds, i, cfg) -> MlpModel:
-    train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
-    return train_arrays(X[train_idx], y[train_idx], replace(cfg, seed=cfg.seed + i),
-                        X[folds[i]], y[folds[i]])
+def _train_fold(data: Dataset, folds, i, cfg: TrainConfig) -> MlpModel:
+    rows = np.concatenate([f for j, f in enumerate(folds) if j != i])
+    _check_rows(len(rows), cfg)
+    return _train_rows(data, rows, folds[i], cfg, np.random.default_rng(cfg.seed + i))
 
 
 # The workers are plain interpreters started by subprocess, not a
@@ -330,17 +411,17 @@ _PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _fold_worker() -> None:
-    """Worker entry point: reads (X, y, folds, fold ids, cfg) pickled on
+    """Worker entry point: reads (dataset, folds, fold ids, cfg) pickled on
     stdin, trains those folds in order and pickles [(fold, model or the
     exception it raised)] on stdout.  It stops at its first failing fold,
     since its later folds cannot be the lowest failing one."""
     out = sys.stdout.buffer
     sys.stdout = sys.stderr  # stdout carries the result alone
-    X, y, folds, ids, cfg = pickle.load(sys.stdin.buffer)
+    data, folds, ids, cfg = pickle.load(sys.stdin.buffer)
     results = []
     for i in ids:
         try:
-            results.append((i, _train_fold(X, y, folds, i, cfg)))
+            results.append((i, _train_fold(data, folds, i, cfg)))
         except Exception as exc:
             results.append((i, exc))
             break
@@ -348,7 +429,7 @@ def _fold_worker() -> None:
     out.flush()
 
 
-def _train_in_workers(X, y, folds, cfg, n_workers) -> list:
+def _train_in_workers(data, folds, cfg, n_workers) -> list:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_PACKAGE_PARENT, env.get("PYTHONPATH")]))
     jobs = [list(range(w, len(folds), n_workers)) for w in range(n_workers)]
@@ -363,7 +444,7 @@ def _train_in_workers(X, y, folds, cfg, n_workers) -> list:
         for proc, ids in zip(procs, jobs):
             try:
                 with proc.stdin:
-                    pickle.dump((X, y, folds, ids, cfg), proc.stdin, protocol=5)
+                    pickle.dump((data, folds, ids, cfg), proc.stdin, protocol=5)
             except BrokenPipeError:
                 pass  # the worker has ended; its exit code is reported below
         results = {}

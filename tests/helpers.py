@@ -82,3 +82,119 @@ def reference_ascent(start, space, ens, cfg):
             x = x + cfg.alpha * d
     final = harden_discrete(x, space) if space.is_discrete else denormalize_design(x, space)
     return final, np.array(xs), np.array(preds), np.array(d_norms)
+
+
+# ---------------------------------------------------------------------------
+# Reference training: the per-parameter loop that `nn.train_arrays` fuses,
+# with its own copy of the allocating forward/backward kernel, as an oracle
+# for the fused step's bits.
+# ---------------------------------------------------------------------------
+
+def _reference_forward(weights, biases, x):
+    acts = [x]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    return acts[-1] @ weights[-1] + biases[-1], acts
+
+
+def _reference_backward(weights, acts, d_out):
+    deltas = [d_out]
+    for w, a in zip(reversed(weights[1:]), reversed(acts[1:])):
+        deltas.append((deltas[-1] @ np.swapaxes(w, -1, -2)) * (a > 0.0))
+    return deltas[::-1]
+
+
+def _reference_mse(model, X, y):
+    pred = _reference_forward(model.weights, model.biases, np.asarray(X, dtype=np.float64))[0][:, 0]
+    return float(np.mean((pred - y) ** 2))
+
+
+def _reference_adam_step(params, grads, m_state, v_state, t, lr):
+    from ensmbo.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+
+    for p, g, m, v in zip(params, grads, m_state, v_state):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def reference_train_arrays(X, y, cfg, X_val=None, y_val=None) -> MlpModel:
+    """`nn.train_arrays` as one Adam loop per parameter array and one
+    finiteness check per array, every product allocating its result."""
+    from ensmbo.nn import init_mlp, spearman
+
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.shape[0] < cfg.batch_size:
+        raise ValueError(
+            f"need at least batch_size training rows: got {X.shape[0]} rows for batch_size "
+            f"{cfg.batch_size}; set train.batch_size in an `ensmbo run --config` file"
+        )
+    rng = np.random.default_rng(cfg.seed)
+    if X_val is None:
+        n_val = max(1, X.shape[0] // 10)
+        perm = rng.permutation(X.shape[0])
+        X_val, y_val = X[perm[:n_val]], y[perm[:n_val]]
+        X, y = X[perm[n_val:]], y[perm[n_val:]]
+
+    model = init_mlp(X.shape[1], hidden=cfg.hidden, rng=rng)
+    params = model.weights + model.biases
+    m_state = [np.zeros_like(p) for p in params]
+    v_state = [np.zeros_like(p) for p in params]
+    t = 0
+
+    best_val = np.inf
+    best_weights = [w.copy() for w in model.weights]
+    best_biases = [b.copy() for b in model.biases]
+    stale = 0
+
+    n = X.shape[0]
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            xb, yb = X[idx], y[idx]
+            with np.errstate(over="ignore", invalid="ignore"):
+                out, acts = _reference_forward(model.weights, model.biases, xb)
+                pred = out[:, 0]
+                loss = np.mean((pred - yb) ** 2)
+                if not np.isfinite(loss):
+                    raise FloatingPointError(
+                        f"non-finite training loss at epoch {epoch}, batch offset {start}"
+                    )
+                dpred = (2.0 / idx.shape[0]) * (pred - yb)
+                deltas = _reference_backward(model.weights, acts, dpred[:, None])
+                grads_w = [a.T @ delta for a, delta in zip(acts, deltas)]
+                grads_b = [delta.sum(axis=0) for delta in deltas]
+                if cfg.weight_decay:
+                    for gw, w in zip(grads_w, model.weights):
+                        gw += cfg.weight_decay * w
+            t += 1
+            _reference_adam_step(params, grads_w + grads_b, m_state, v_state, t, cfg.learning_rate)
+            for p in params:
+                if not np.all(np.isfinite(p)):
+                    raise FloatingPointError(f"non-finite weights after epoch {epoch} update")
+        val = _reference_mse(model, X_val, y_val)
+        if val < best_val:
+            best_val = val
+            best_weights = [w.copy() for w in model.weights]
+            best_biases = [b.copy() for b in model.biases]
+            stale = 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                break
+
+    model.weights = best_weights
+    model.biases = best_biases
+    model.val_mse = best_val
+    try:
+        pred = _reference_forward(model.weights, model.biases, np.asarray(X_val, dtype=np.float64))[0][:, 0]
+        model.val_spearman = spearman(pred, y_val)
+    except ValueError:
+        model.val_spearman = float("nan")  # constant validation targets
+    return model

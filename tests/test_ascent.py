@@ -116,6 +116,24 @@ def test_mean_on_single_model_equals_single_combiner():
     assert np.array_equal(a.final, b.final)
 
 
+def test_unrecorded_single_evaluates_member_0_only():
+    space = identity_space(3)
+    rng = np.random.default_rng(1)
+    good = init_mlp(3, (8,), rng)
+    bad = MlpModel(weights=[np.full((3, 1), np.nan)], biases=[np.zeros(1)])
+    start = rng.standard_normal(3)
+    cfg = AscentConfig(steps=6, alpha=0.1, combiner=Combiner.SINGLE)
+    want = ascend(start, space, Ensemble(models=[good]), cfg)
+    got = ascend(start, space, Ensemble(models=[good, bad]), cfg)
+    assert np.array_equal(got.final, want.final)
+    batch = ascend_batch([start, start], space, Ensemble(models=[good, bad]), cfg)
+    assert all(np.array_equal(t.final, want.final) for t in batch)
+    # A recorded run evaluates every member, so member 1 fails it.
+    recorded = AscentConfig(steps=6, alpha=0.1, combiner=Combiner.SINGLE, record_trajectory=True)
+    with pytest.raises(FloatingPointError, match="non-finite model output at step 0"):
+        ascend(start, space, Ensemble(models=[good, bad]), recorded)
+
+
 # ---------------------------------------------------------------------------
 # discrete spaces
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ensmbo.core import Dataset, DesignSpace, design_matrix, select_bottom_fraction
+from ensmbo import nn
+from ensmbo.core import Dataset, DesignSpace, batch_tokens_to_onehot, design_matrix, select_bottom_fraction
 from ensmbo.nn import (
     Ensemble,
     MlpModel,
@@ -22,7 +23,7 @@ from ensmbo.nn import (
 )
 from ensmbo.tasks import make_minibind
 
-from helpers import linear_model
+from helpers import linear_model, reference_train_arrays
 
 
 def zero_mlp(input_dim, hidden=(8,)):
@@ -187,6 +188,62 @@ def test_train_aborts_on_nonfinite_loss():
         train_arrays(X, y, cfg)
 
 
+def _same_model(got, want):
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert got.val_mse == want.val_mse
+    assert np.array_equal(got.val_spearman, want.val_spearman, equal_nan=True)
+
+
+def _onehot_rows(rng, n, seq_len=6, vocab=4):
+    return batch_tokens_to_onehot(rng.integers(0, vocab, (n, seq_len)), DesignSpace.discrete(seq_len, vocab))
+
+
+# (matrix, rows, explicit validation rows, config, early stopping fires)
+FUSED_STEP_CASES = {
+    "continuous-no-decay-internal-split": (
+        "continuous", 300, None,
+        TrainConfig(epochs=6, batch_size=64, weight_decay=0.0, seed=3, hidden=(16, 8)), False),
+    "continuous-decay-validation": (
+        "continuous", 333, 70,
+        TrainConfig(epochs=5, batch_size=100, weight_decay=1e-6, seed=4), False),
+    "onehot-decay-early-stop": (
+        "onehot", 517, 90,
+        TrainConfig(epochs=60, batch_size=50, learning_rate=5e-2, weight_decay=1e-6, seed=5,
+                    patience=1, hidden=(8, 8)), True),
+    "onehot-no-decay-internal-split": (
+        "onehot", 290, None,
+        TrainConfig(epochs=4, batch_size=64, weight_decay=0.0, seed=6), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FUSED_STEP_CASES))
+def test_fused_step_matches_per_parameter_loop_bitwise(case, monkeypatch):
+    kind, n, n_val, cfg, stops_early = FUSED_STEP_CASES[case]
+    rng = np.random.default_rng(len(case))
+    X = _onehot_rows(rng, n + (n_val or 0)) if kind == "onehot" else rng.standard_normal((n + (n_val or 0), 7))
+    y = np.sin(X @ rng.standard_normal(X.shape[1])) + 0.1 * rng.standard_normal(X.shape[0])
+    val = () if n_val is None else (X[n:], y[n:])
+    train_rows = n - max(1, n // 10) if n_val is None else n
+    assert train_rows % cfg.batch_size != 0  # a short last batch
+    epochs, mse = [], nn._mse  # _mse runs once per epoch
+    monkeypatch.setattr(nn, "_mse", lambda *a: epochs.append(1) or mse(*a))
+    _same_model(train_arrays(X[:n], y[:n], cfg, *val), reference_train_arrays(X[:n], y[:n], cfg, *val))
+    assert (len(epochs) < cfg.epochs) == stops_early
+
+
+def test_train_aborts_on_nonfinite_weights():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((64, 2))
+    y = np.full(64, 100.0)
+    cfg = TrainConfig(epochs=2, batch_size=32, learning_rate=1e308, seed=0)
+    with pytest.raises(FloatingPointError) as want:
+        reference_train_arrays(X, y, cfg)
+    with pytest.raises(FloatingPointError) as got:
+        train_arrays(X, y, cfg)
+    assert str(got.value) == str(want.value) == "non-finite weights after epoch 0 update"
+
+
 def test_train_needs_enough_rows():
     with pytest.raises(ValueError):
         train_arrays(np.ones((4, 2)), np.ones(4), TrainConfig(batch_size=8))
@@ -332,6 +389,25 @@ def test_ensemble_worker_without_result_is_named(two_cpus, monkeypatch):
     with pytest.raises(RuntimeError, match=r"worker 0 \(folds \[0, 2\]\) exited with code 1"):
         train_ensemble(_toy_dataset(240), 3, TrainConfig(epochs=1, batch_size=32, seed=0))
     assert _child_pids() == []
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+@pytest.mark.parametrize("m", [1, 3])
+def test_no_one_builds_the_full_design_matrix(monkeypatch, cpus, m):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    rows = []
+    monkeypatch.setattr(nn, "design_matrix", lambda ds: rows.append(len(ds)) or design_matrix(ds))
+    ds = _toy_dataset(240)
+    cfg = TrainConfig(epochs=2, batch_size=32, seed=2)
+    ens = train_ensemble(ds, m, cfg)
+    assert len(ds) not in rows
+    if m == 1 or cpus == {0}:  # trained in this process: each fold built its own matrices
+        assert sorted(rows) == sorted([24, 216] if m == 1 else [80] * 3 + [160] * 3)
+    else:
+        assert rows == []
+    ref = [reference_train_arrays(design_matrix(ds), ds.scores, cfg)] if m == 1 else _serial_folds(ds, m, cfg)
+    for got, want in zip(ens.models, ref):
+        _same_model(got, want)
 
 
 def test_ensemble_requires_matching_dims():
