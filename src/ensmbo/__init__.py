@@ -6,7 +6,7 @@ by a combiner: mean, min, MGDA (min-norm point of the gradient hull), or
 CAGrad (conflict-averse step around the mean gradient).
 """
 
-from .ascent import AscentConfig, Combiner, Trajectory, ascend, ascend_batch, harden_discrete
+from .ascent import AscentConfig, Combiner, Trajectory, ascend, ascend_batch
 from .combine import (
     CagradConfig,
     CombinedGradient,
@@ -64,7 +64,6 @@ __all__ = [
     "combine_min",
     "evaluate_oracle",
     "get_task",
-    "harden_discrete",
     "improvement_rate",
     "ingest_csv",
     "make_bowl",

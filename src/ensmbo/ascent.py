@@ -1,12 +1,13 @@
 """The design-optimization loop.
 
 Iterates x <- x + alpha*d for a fixed number of steps, where d comes from
-the configured gradient combiner.  Discrete designs are optimized in
-relaxed one-hot space and hardened once by per-position argmax at the
-end; continuous designs are optimized in normalized space and
-de-normalized at the end.  All trajectories of a batch advance in
-lockstep, and each is a pure function of its own start: it equals the
-trajectory the same start takes alone, bit for bit.
+the configured gradient combiner.  Starts and final designs are raw task
+units; in between, the loop works in the representation ``core.encode``
+builds (relaxed one-hot for discrete designs, normalized coordinates for
+continuous ones), and ``core.decode`` turns the last iterate back into a
+design.  All trajectories of a batch advance in lockstep, and each is a
+pure function of its own start: it equals the trajectory the same start
+takes alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .combine import CagradConfig, solve_cagrad_batch, solve_mgda_batch
-from .core import (
-    DesignSpace,
-    denormalize_design,
-    is_hard_onehot,
-    normalize_design,
-    tokens_to_onehot,
-)
+from .core import DesignSpace, decode, encode
 from .nn import Ensemble, mlp_value_and_grad, stack_mlps
 
 
@@ -58,31 +53,16 @@ class AscentConfig:
 class Trajectory:
     """Optimization record: final design plus optional per-step telemetry.
 
-    ``final`` is a hard one-hot vector for discrete spaces and a raw
-    task-unit vector for continuous ones.  When recording is on, ``xs``,
-    ``preds`` and ``d_norms`` hold steps+1 states in the optimization
-    representation.
+    ``final`` is the design in raw task units: int64 tokens for discrete
+    spaces, coordinates for continuous ones.  When recording is on, ``xs``,
+    ``preds`` and ``d_norms`` hold steps+1 states, ``xs`` in the
+    optimization representation.
     """
 
     final: np.ndarray
     xs: np.ndarray | None = None
     preds: np.ndarray | None = None
     d_norms: np.ndarray | None = None
-
-
-def harden_discrete(x: np.ndarray, space: DesignSpace) -> np.ndarray:
-    """Per-position argmax to a hard one-hot vector; ties to the lowest token."""
-    if not space.is_discrete:
-        raise ValueError("harden_discrete applies to discrete spaces")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (space.flat_dim,):
-        raise ValueError("relaxed vector has wrong length")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("relaxed vector must be finite")
-    blocks = x.reshape(space.seq_len, space.vocab)
-    hard = np.zeros_like(blocks)
-    hard[np.arange(space.seq_len), np.argmax(blocks, axis=1)] = 1.0
-    return hard.reshape(-1)
 
 
 class _ModelBank:
@@ -117,22 +97,6 @@ class _ModelBank:
             vals = np.ascontiguousarray(out[:, :, 0, 0].T)
             grads = np.ascontiguousarray(np.swapaxes(g[:, :, 0, :], 0, 1))
         return (vals[0], grads[0]) if x.ndim == 1 else (vals, grads)
-
-
-def _to_opt_repr(start: np.ndarray, space: DesignSpace) -> np.ndarray:
-    start = np.asarray(start)
-    if space.is_discrete:
-        if start.shape == (space.seq_len,):
-            return tokens_to_onehot(start, space)
-        if start.shape == (space.flat_dim,):
-            if not is_hard_onehot(start, space):
-                raise ValueError("discrete starts must be hard designs")
-            return np.asarray(start, dtype=np.float64).copy()
-        raise ValueError("bad discrete start shape")
-    start = start.astype(np.float64)
-    if start.shape != (space.dim,) or not np.all(np.isfinite(start)):
-        raise ValueError("bad continuous start")
-    return normalize_design(start, space)
 
 
 class _StepFailure(Exception):
@@ -204,8 +168,7 @@ def _ascend_rows(X: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentCo
             X = stepped
 
     out = []
-    for i, x in enumerate(X):
-        final = harden_discrete(x, space) if space.is_discrete else denormalize_design(x, space)
+    for i, final in enumerate(decode(X, space)):
         traj = Trajectory(final=final)
         if record:
             traj.xs = np.array([a[i] for a in xs])
@@ -221,7 +184,8 @@ def _check_input_dim(space: DesignSpace, ens: Ensemble) -> None:
 
 
 def ascend(start: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentConfig) -> Trajectory:
-    """Run the update loop from one starting design: ``ascend_batch`` of one.
+    """Run the update loop from one raw starting design: ``ascend_batch`` of
+    one.  A start that ``core.check_designs`` refuses raises its ValueError.
 
     The single-model combiner uses ensemble member 0.  A recorded run
     still evaluates every member, records all their predictions for tuning
@@ -230,7 +194,7 @@ def ascend(start: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentConf
     """
     _check_input_dim(space, ens)
     try:
-        return _ascend_rows(_to_opt_repr(start, space)[None, :], space, ens, cfg)[0]
+        return _ascend_rows(encode([start], space), space, ens, cfg)[0]
     except _StepFailure as f:
         if isinstance(f.cause, FloatingPointError):
             raise FloatingPointError(f"{f.cause} at step {f.step}") from f.cause
@@ -238,8 +202,9 @@ def ascend(start: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentConf
 
 
 def ascend_batch(starts, space: DesignSpace, ens: Ensemble, cfg: AscentConfig) -> list[Trajectory]:
-    """Independent trajectories from many starts, advanced in lockstep; order
-    preserved, and each equal to its own ``ascend``."""
+    """Independent trajectories from many raw starts, advanced in lockstep;
+    order preserved, and each equal to its own ``ascend``.  A start that
+    ``core.check_designs`` refuses raises RuntimeError naming its index."""
     starts = list(starts)
     if not starts:
         raise ValueError("no starting designs")
@@ -247,7 +212,7 @@ def ascend_batch(starts, space: DesignSpace, ens: Ensemble, cfg: AscentConfig) -
     for i, start in enumerate(starts):
         try:
             _check_input_dim(space, ens)  # fails at i = 0, before any start is read
-            rows.append(_to_opt_repr(start, space))
+            rows.append(encode([start], space)[0])
         except ValueError as exc:
             raise RuntimeError(f"trajectory {i} failed: {exc}") from exc
     try:

@@ -112,25 +112,12 @@ class Dataset:
     scores: np.ndarray
 
     def __post_init__(self):
-        designs = np.asarray(self.designs)
         scores = np.asarray(self.scores, dtype=np.float64)
-        if designs.ndim != 2 or scores.ndim != 1 or designs.shape[0] != scores.shape[0]:
+        designs = check_designs(self.designs, self.space)
+        if scores.ndim != 1 or designs.shape[0] != scores.shape[0]:
             raise ValueError("designs must be (N, k) and scores (N,) with matching N")
-        if designs.shape[1] != self.space.raw_dim:
-            raise ValueError(f"designs have {designs.shape[1]} columns, space expects {self.space.raw_dim}")
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores must be finite")
-        if self.space.is_discrete:
-            designs = np.asarray(designs)
-            if not np.all(designs == np.floor(designs)):
-                raise ValueError("discrete designs must be integer tokens")
-            designs = designs.astype(np.int64)
-            if designs.size and (designs.min() < 0 or designs.max() >= self.space.vocab):
-                raise ValueError("token out of range")
-        else:
-            designs = designs.astype(np.float64)
-            if not np.all(np.isfinite(designs)):
-                raise ValueError("designs must be finite")
         object.__setattr__(self, "designs", designs)
         object.__setattr__(self, "scores", scores)
 
@@ -139,64 +126,54 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Representation conversions
+# Design representations
 # ---------------------------------------------------------------------------
+#
+# Designs cross module boundaries in raw task units; only the optimizer and
+# the proxies see the form that ``encode`` builds and ``decode`` reverses.
 
-def tokens_to_onehot(tokens: np.ndarray, space: DesignSpace) -> np.ndarray:
-    """Flattened one-hot encoding of a token sequence."""
-    tokens = np.asarray(tokens)
-    if tokens.shape != (space.seq_len,):
-        raise ValueError("token vector has wrong length")
-    x = np.zeros(space.flat_dim, dtype=np.float64)
-    x[np.arange(space.seq_len) * space.vocab + tokens.astype(np.int64)] = 1.0
-    return x
+def check_designs(designs, space: DesignSpace) -> np.ndarray:
+    """Raw designs as an (N, raw_dim) array, or ValueError naming the fault:
+    int64 tokens in [0, vocab) for a discrete space, finite float64
+    coordinates for a continuous one.  The array is a copy."""
+    designs = np.asarray(designs)
+    if designs.ndim != 2 or designs.shape[1] != space.raw_dim:
+        unit = "tokens" if space.is_discrete else "coordinates"
+        raise ValueError(f"designs have shape {designs.shape}, the space expects (N, {space.raw_dim}) raw {unit}")
+    if space.is_discrete:
+        if not np.all(np.isfinite(designs) & (designs == np.floor(designs))):
+            raise ValueError("discrete designs must be integer tokens; harden relaxed designs first")
+        designs = designs.astype(np.int64)
+        if designs.size and (designs.min() < 0 or designs.max() >= space.vocab):
+            raise ValueError(f"token out of range [0, {space.vocab})")
+        return designs
+    designs = designs.astype(np.float64)
+    if not np.all(np.isfinite(designs)):
+        raise ValueError("designs must be finite")
+    return designs
 
 
-def batch_tokens_to_onehot(tokens: np.ndarray, space: DesignSpace) -> np.ndarray:
-    tokens = np.asarray(tokens, dtype=np.int64)
-    n = tokens.shape[0]
+def encode(designs, space: DesignSpace) -> np.ndarray:
+    """Checked raw designs in the optimization representation (N, flat_dim)."""
+    designs = check_designs(designs, space)
+    if not space.is_discrete:
+        return (designs - space.mean) / space.floored_std()
+    n = designs.shape[0]
     x = np.zeros((n, space.flat_dim), dtype=np.float64)
-    cols = np.arange(space.seq_len) * space.vocab + tokens
-    x[np.arange(n)[:, None], cols] = 1.0
+    x[np.arange(n)[:, None], np.arange(space.seq_len) * space.vocab + designs] = 1.0
     return x
 
 
-def is_hard_onehot(x: np.ndarray, space: DesignSpace) -> bool:
-    """True when each position block has exactly one 1.0 and 0.0 elsewhere."""
+def decode(x: np.ndarray, space: DesignSpace) -> np.ndarray:
+    """Raw designs (N, raw_dim) from finite optimization-representation rows
+    (N, flat_dim): the argmax token of each position, ties to the lowest
+    token, or the de-normalized coordinates."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (space.flat_dim,) or not np.all(np.isfinite(x)):
-        return False
-    blocks = x.reshape(space.seq_len, space.vocab)
-    if not np.all((blocks == 0.0) | (blocks == 1.0)):
-        return False
-    return bool(np.all(blocks.sum(axis=1) == 1.0))
-
-
-def onehot_to_tokens(x: np.ndarray, space: DesignSpace) -> np.ndarray:
-    if not is_hard_onehot(x, space):
-        raise ValueError("must harden before decoding to tokens")
-    blocks = np.asarray(x, dtype=np.float64).reshape(space.seq_len, space.vocab)
-    return np.argmax(blocks, axis=1).astype(np.int64)
-
-
-def normalize_design(x: np.ndarray, space: DesignSpace) -> np.ndarray:
-    """Raw continuous coordinates -> zero-mean/unit-variance representation."""
+    if x.ndim != 2 or x.shape[1] != space.flat_dim or not np.all(np.isfinite(x)):
+        raise ValueError(f"decode needs finite rows of {space.flat_dim} values, got shape {x.shape}")
     if space.is_discrete:
-        raise ValueError("normalize_design applies to continuous spaces")
-    return (np.asarray(x, dtype=np.float64) - space.mean) / space.floored_std()
-
-
-def denormalize_design(x: np.ndarray, space: DesignSpace) -> np.ndarray:
-    if space.is_discrete:
-        raise ValueError("denormalize_design applies to continuous spaces")
-    return np.asarray(x, dtype=np.float64) * space.floored_std() + space.mean
-
-
-def design_matrix(ds: Dataset) -> np.ndarray:
-    """Dataset rows in the optimization representation (N x flat_dim)."""
-    if ds.space.is_discrete:
-        return batch_tokens_to_onehot(ds.designs, ds.space)
-    return (ds.designs - ds.space.mean) / ds.space.floored_std()
+        return np.argmax(x.reshape(-1, space.seq_len, space.vocab), axis=2).astype(np.int64)
+    return x * space.floored_std() + space.mean
 
 
 def stats_from_designs(designs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,9 +4,9 @@ The pipeline mirrors the evaluation protocol: build the offline MBO
 dataset as the bottom-K fraction of the task's total dataset, train an
 ensemble of proxies on complementary folds, take the top-128 MBO inputs
 as starting designs, run every configured algorithm's update loop, then
-score the hardened finals with the exact oracle and report max /
-50th-percentile / mean metrics (normalized against the total dataset's
-extremes).
+score the final designs, in raw task units, with the exact oracle and
+report max / 50th-percentile / mean metrics (normalized against the
+total dataset's extremes).
 
 Every command takes its settings from one ``ExperimentConfig``, resolved
 by ``_experiment_config``: a flag the user gave, else the ``--config``
@@ -36,9 +36,8 @@ from .core import (
     Dataset,
     DesignSpace,
     ScoreSummary,
-    normalize_design,
+    encode,
     normalize_score,
-    onehot_to_tokens,
     read_dataset_csv,
     select_bottom_fraction,
     select_top_n,
@@ -189,17 +188,9 @@ def _prepare(cfg: ExperimentConfig):
     return task, Dataset(space=space_run, designs=mbo.designs, scores=mbo.scores), space_run
 
 
-def _finals_to_raw(finals, space) -> np.ndarray:
-    if space.is_discrete:
-        return np.array([onehot_to_tokens(f, space) for f in finals])
-    return np.asarray(finals)
-
-
 def _proxy_scores(finals, space, ens: Ensemble) -> np.ndarray:
-    """Mean ensemble prediction of each final design."""
-    X = np.array([f if space.is_discrete else normalize_design(f, space) for f in finals],
-                 dtype=np.float64)
-    out, _ = mlp_forward(*stack_mlps(ens.models), X)
+    """Mean ensemble prediction of each raw final design."""
+    out, _ = mlp_forward(*stack_mlps(ens.models), encode(finals, space))
     return out[:, :, 0].mean(axis=0)
 
 
@@ -237,7 +228,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             acfg = AscentConfig(
                 steps=cfg.steps, alpha=alpha, combiner=Combiner(alg), cagrad_c=cagrad_c
             )
-            finals = [t.final for t in _ascend(starts, space_run, ens, acfg, task.name, rs)]
+            finals = np.array([t.final for t in _ascend(starts, space_run, ens, acfg, task.name, rs)])
             if task.oracle is not None:
                 if task.oracle.calls != sum(r.scores.shape[0] for r in results):
                     raise RuntimeError("oracle was touched outside the evaluation stage")
@@ -251,7 +242,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                     run_seed=rs,
                     summary=summary,
                     scores=scores,
-                    finals_raw=_finals_to_raw(finals, space_run),
+                    finals_raw=finals,
                     wall_clock=time.perf_counter() - a0,
                 )
             )

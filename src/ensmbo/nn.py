@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, design_matrix
+from .core import Dataset, encode
 
 DEFAULT_HIDDEN = (64, 64)
 
@@ -312,8 +312,8 @@ def _fit(X, y, X_val, y_val, cfg: TrainConfig, rng: np.random.Generator) -> MlpM
                     np.add.reduce(delta, axis=0, out=gb)
                 if cfg.weight_decay:
                     grad[:n_w] += np.multiply(flat[:n_w], cfg.weight_decay, out=tmp[:n_w])
-            t += 1
-            _adam_step(flat, grad, m_state, v_state, t, cfg.learning_rate, tmp, step)
+                t += 1
+                _adam_step(flat, grad, m_state, v_state, t, cfg.learning_rate, tmp, step)
             if not np.isfinite(flat).all():
                 raise FloatingPointError(f"non-finite weights after epoch {epoch} update")
         val = _mse(model, X_val, y_val)
@@ -343,18 +343,14 @@ def _train_rows(data: Dataset, rows, val_rows, cfg: TrainConfig, rng: np.random.
     the normalization are elementwise, so they equal the rows of the full
     matrix bit for bit, and no one holds the full matrix.
     """
-    def matrix(idx):
-        return design_matrix(Dataset(data.space, data.designs[idx], data.scores[idx]))
-
-    return _fit(matrix(rows), data.scores[rows], matrix(val_rows), data.scores[val_rows], cfg, rng)
+    return _fit(encode(data.designs[rows], data.space), data.scores[rows],
+                encode(data.designs[val_rows], data.space), data.scores[val_rows], cfg, rng)
 
 
-def train(data: Dataset, cfg: TrainConfig, val: Dataset | None = None) -> MlpModel:
-    """Supervised regression on a dataset; seeded and deterministic.
-    Without ``val`` it is ``train_arrays`` with its internal 90/10 split,
-    each side's matrix built from its own rows."""
-    if val is not None:
-        return train_arrays(design_matrix(data), data.scores, cfg, design_matrix(val), val.scores)
+def train(data: Dataset, cfg: TrainConfig) -> MlpModel:
+    """Supervised regression on a dataset; seeded and deterministic.  It is
+    ``train_arrays`` with its internal 90/10 split, each side's matrix
+    built from its own rows."""
     _check_rows(len(data), cfg)
     rng = np.random.default_rng(cfg.seed)
     val_rows, rows = _holdout(len(data), rng)

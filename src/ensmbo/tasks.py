@@ -28,8 +28,7 @@ import numpy as np
 from .core import (
     Dataset,
     DesignSpace,
-    is_hard_onehot,
-    onehot_to_tokens,
+    check_designs,
     read_dataset_csv,
     stats_from_designs,
     write_dataset_csv,
@@ -85,33 +84,11 @@ class TaskSpec:
         return self._total
 
 
-def _raw_design(design: np.ndarray, space: DesignSpace) -> np.ndarray:
-    """Accepts raw rows (tokens/coordinates) or hard one-hot vectors."""
-    design = np.asarray(design)
-    if space.is_discrete:
-        if design.shape == (space.flat_dim,):
-            if not is_hard_onehot(design, space):
-                raise ValueError("must harden before oracle")
-            return onehot_to_tokens(design, space)
-        if design.shape != (space.seq_len,):
-            raise ValueError("discrete design must be tokens or a hard one-hot vector")
-        if not np.all(design == np.floor(design)):
-            raise ValueError("must harden before oracle")
-        toks = design.astype(np.int64)
-        if toks.min() < 0 or toks.max() >= space.vocab:
-            raise ValueError("token out of range")
-        return toks
-    design = design.astype(np.float64)
-    if design.shape != (space.dim,) or not np.all(np.isfinite(design)):
-        raise ValueError("continuous design must be a finite vector of task coordinates")
-    return design
-
-
 def evaluate_oracle(task: TaskSpec, designs) -> list[float]:
-    """Exact ground-truth scores for hard designs in raw task units."""
+    """Exact ground-truth scores of raw designs, checked by ``check_designs``."""
     if task.oracle is None:
         raise ValueError(f"task '{task.name}' has no oracle")
-    return [task.oracle.score(_raw_design(d, task.space)) for d in designs]
+    return [task.oracle.score(d) for d in check_designs(designs, task.space)]
 
 
 def _seeded_task(name: str, seed: int, designs, scores, score_one, params: dict,

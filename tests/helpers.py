@@ -44,7 +44,7 @@ def reference_ascent(start, space, ens, cfg):
     member evaluated alone, each step combined by the per-point combiner
     warm-started from the step before.  Returns (final, xs, preds, d_norms)
     with the whole trajectory recorded."""
-    from ensmbo.ascent import Combiner, _to_opt_repr, harden_discrete
+    from ensmbo.ascent import Combiner
     from ensmbo.combine import (
         CagradConfig,
         GradientSet,
@@ -53,9 +53,9 @@ def reference_ascent(start, space, ens, cfg):
         solve_cagrad_dual,
         solve_mgda_dual,
     )
-    from ensmbo.core import denormalize_design
+    from ensmbo.core import decode, encode
 
-    x = _to_opt_repr(start, space)
+    x = encode([start], space)[0]
     warm = None
     xs, preds, d_norms = [], [], []
     for k in range(cfg.steps + 1):
@@ -80,7 +80,7 @@ def reference_ascent(start, space, ens, cfg):
         d_norms.append(float(np.linalg.norm(d)))
         if k < cfg.steps:
             x = x + cfg.alpha * d
-    final = harden_discrete(x, space) if space.is_discrete else denormalize_design(x, space)
+    final = decode(x[None], space)[0]
     return final, np.array(xs), np.array(preds), np.array(d_norms)
 
 

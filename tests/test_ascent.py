@@ -7,10 +7,9 @@ from ensmbo.ascent import (
     _ModelBank,
     ascend,
     ascend_batch,
-    harden_discrete,
     write_trajectory_csv,
 )
-from ensmbo.core import DesignSpace, tokens_to_onehot
+from ensmbo.core import DesignSpace, decode, encode
 from ensmbo.nn import Ensemble, MlpModel, init_mlp
 
 from helpers import QuadraticModel, linear_model, reference_ascent
@@ -25,36 +24,36 @@ def zero_model(dim):
 
 
 # ---------------------------------------------------------------------------
-# harden_discrete
+# hardening: the final iterate of a discrete ascent is decoded to tokens
 # ---------------------------------------------------------------------------
 
 def test_harden_argmax_block():
     space = DesignSpace.discrete(1, 4)
-    out = harden_discrete(np.array([0.2, 0.9, -0.1, 0.0]), space)
-    assert np.array_equal(out, [0.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(decode([[0.2, 0.9, -0.1, 0.0]], space), [[1]])
+    assert np.array_equal(decode([[-1.0, 0.3, -0.2, 0.1]], space), [[1]])
 
 
 def test_harden_tie_goes_to_lowest_token():
     space = DesignSpace.discrete(1, 4)
-    out = harden_discrete(np.array([0.5, 0.5, 0.5, 0.5]), space)
-    assert np.array_equal(out, [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(decode([[0.5, 0.5, 0.5, 0.5]], space), [[0]])
+    assert np.array_equal(decode([[0.0, 0.7, 0.2, 0.7]], space), [[1]])
 
 
 def test_harden_idempotent():
     space = DesignSpace.discrete(2, 3)
-    x = np.array([0.1, 2.0, 0.3, -1.0, 0.0, 4.0])
-    once = harden_discrete(x, space)
-    assert np.array_equal(harden_discrete(once, space), once)
+    once = decode([[0.1, 2.0, 0.3, -1.0, 0.0, 4.0]], space)
+    assert once.dtype == np.int64 and np.array_equal(once, [[1, 2]])
+    assert np.array_equal(decode(encode(once, space), space), once)
 
 
 def test_harden_rejects_nonfinite_and_bad_shape():
     space = DesignSpace.discrete(1, 3)
-    with pytest.raises(ValueError):
-        harden_discrete(np.array([np.nan, 0.0, 1.0]), space)
-    with pytest.raises(ValueError):
-        harden_discrete(np.zeros(4), space)
-    with pytest.raises(ValueError):
-        harden_discrete(np.zeros(3), identity_space(3))
+    with pytest.raises(ValueError, match="finite"):
+        decode([[np.nan, 0.0, 1.0]], space)
+    with pytest.raises(ValueError, match=r"shape \(1, 4\)"):
+        decode(np.zeros((1, 4)), space)
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        decode(np.zeros(3), space)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +144,8 @@ def test_discrete_ascent_produces_hard_finals():
     starts = [rng.integers(0, 3, size=4) for _ in range(6)]
     cfg = AscentConfig(steps=3, alpha=0.5, combiner=Combiner.MGDA)
     for traj in ascend_batch(starts, space, ens, cfg):
-        blocks = traj.final.reshape(4, 3)
-        assert np.all(blocks.sum(axis=1) == 1.0)
-        assert np.all((blocks == 0.0) | (blocks == 1.0))
+        assert traj.final.dtype == np.int64 and traj.final.shape == (4,)
+        assert np.all((traj.final >= 0) & (traj.final < 3))
 
 
 def test_discrete_zero_gradient_returns_start_hardened():
@@ -155,18 +153,34 @@ def test_discrete_zero_gradient_returns_start_hardened():
     ens = Ensemble(models=[zero_model(space.flat_dim)])
     start = np.array([2, 0])
     traj = ascend(start, space, ens, AscentConfig(steps=4, alpha=1.0, combiner=Combiner.MEAN))
-    assert np.array_equal(traj.final, tokens_to_onehot(start, space))
+    assert traj.final.dtype == np.int64
+    assert np.array_equal(traj.final, start)
 
 
-def test_discrete_accepts_hard_onehot_start():
+def test_discrete_refuses_onehot_start():
     space = DesignSpace.discrete(2, 2)
     ens = Ensemble(models=[zero_model(space.flat_dim)])
-    start = tokens_to_onehot(np.array([1, 0]), space)
-    traj = ascend(start, space, ens, AscentConfig(steps=1, alpha=1.0, combiner=Combiner.MEAN))
-    assert np.array_equal(traj.final, start)
-    with pytest.raises(ValueError, match="hard"):
-        ascend(np.array([0.5, 0.5, 1.0, 0.0]), space, ens,
-               AscentConfig(steps=1, alpha=1.0, combiner=Combiner.MEAN))
+    cfg = AscentConfig(steps=1, alpha=1.0, combiner=Combiner.MEAN)
+    with pytest.raises(ValueError, match=r"shape \(1, 4\), the space expects \(N, 2\) raw tokens"):
+        ascend(encode([[1, 0]], space)[0], space, ens, cfg)
+    with pytest.raises(ValueError, match="integer tokens; harden"):
+        ascend(np.array([0.5, 1.0]), space, ens, cfg)
+
+
+@pytest.mark.parametrize("start, cause", [
+    ([5, 0], r"token out of range \[0, 4\)"),
+    ([-1, 0], r"token out of range \[0, 4\)"),
+    ([0, 4], r"token out of range \[0, 4\)"),
+    ([1.7, 2], "must be integer tokens"),
+])
+def test_bad_start_tokens_are_refused(start, cause):
+    space = DesignSpace.discrete(2, 4)
+    ens = Ensemble(models=[zero_model(space.flat_dim)])
+    cfg = AscentConfig(steps=0, alpha=1.0, combiner=Combiner.MEAN)
+    with pytest.raises(ValueError, match=cause):
+        ascend(start, space, ens, cfg)
+    with pytest.raises(RuntimeError, match=f"^trajectory 1 failed: .*{cause}"):
+        ascend_batch([[0, 0], start], space, ens, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,15 @@ from hypothesis import strategies as st
 from ensmbo.core import (
     Dataset,
     DesignSpace,
-    batch_tokens_to_onehot,
-    design_matrix,
-    denormalize_design,
-    is_hard_onehot,
+    check_designs,
+    decode,
+    encode,
     metadata_path,
-    normalize_design,
     normalize_score,
-    onehot_to_tokens,
     read_dataset_csv,
     select_bottom_fraction,
     select_top_n,
     summarize_scores,
-    tokens_to_onehot,
     write_dataset_csv,
 )
 
@@ -195,47 +191,63 @@ def test_bottom_and_complement_partition(ys, frac):
 
 def test_onehot_roundtrip():
     space = DesignSpace.discrete(3, 4)
-    toks = np.array([0, 3, 2])
-    x = tokens_to_onehot(toks, space)
-    assert x.shape == (12,) and x.sum() == 3.0
-    assert is_hard_onehot(x, space)
-    assert np.array_equal(onehot_to_tokens(x, space), toks)
+    toks = np.array([[0, 3, 2]])
+    x = encode(toks, space)
+    assert x.shape == (1, 12) and x.sum() == 3.0
+    assert np.array_equal(x[0].reshape(3, 4), np.eye(4)[toks[0]])
+    back = decode(x, space)
+    assert back.dtype == np.int64 and np.array_equal(back, toks)
 
 
 def test_is_hard_rejects_relaxed():
     space = DesignSpace.discrete(2, 2)
-    assert not is_hard_onehot(np.array([0.5, 0.5, 1.0, 0.0]), space)
-    assert not is_hard_onehot(np.array([1.0, 1.0, 1.0, 0.0]), space)
-    with pytest.raises(ValueError, match="harden"):
-        onehot_to_tokens(np.array([0.5, 0.5, 1.0, 0.0]), space)
+    with pytest.raises(ValueError, match=r"shape \(1, 4\), the space expects \(N, 2\) raw tokens"):
+        check_designs([[0.5, 0.5, 1.0, 0.0]], space)
+    with pytest.raises(ValueError, match="integer tokens; harden relaxed designs first"):
+        check_designs([[0.5, 1.0]], space)
 
 
 def test_batch_onehot_matches_single():
     space = DesignSpace.discrete(4, 3)
     toks = np.array([[0, 1, 2, 0], [2, 2, 1, 0]])
-    batch = batch_tokens_to_onehot(toks, space)
+    batch = encode(toks, space)
     for row, t in zip(batch, toks):
-        assert np.array_equal(row, tokens_to_onehot(t, space))
+        assert np.array_equal(row, encode([t], space)[0])
 
 
 def test_normalize_design_roundtrip_and_floor():
     space = DesignSpace.continuous(3, mean=[1.0, -2.0, 0.0], std=[2.0, 0.5, 0.0])
-    x = np.array([3.0, -1.0, 5.0])
-    z = normalize_design(x, space)
-    assert z[0] == 1.0 and z[1] == 2.0
-    assert np.isfinite(z[2])  # sigma floor saves the constant coordinate
-    back = denormalize_design(z, space)
-    assert np.allclose(back[:2], x[:2])
+    x = np.array([[3.0, -1.0, 5.0]])
+    z = encode(x, space)
+    assert z[0, 0] == 1.0 and z[0, 1] == 2.0
+    assert z[0, 2] == 5.0 / 1e-8  # sigma floor saves the constant coordinate
+    assert np.allclose(decode(z, space), x, rtol=1e-12, atol=0.0)
 
 
 def test_design_matrix_both_kinds():
     dspace = DesignSpace.discrete(2, 3)
-    dd = Dataset(space=dspace, designs=np.array([[0, 2], [1, 1]]), scores=np.array([0.0, 1.0]))
-    m = design_matrix(dd)
+    m = encode(np.array([[0, 2], [1, 1]]), dspace)
     assert m.shape == (2, 6) and m[0, 0] == 1.0 and m[0, 5] == 1.0
     cspace = DesignSpace.continuous(2, mean=[1.0, 1.0], std=[2.0, 2.0])
-    cd = Dataset(space=cspace, designs=np.array([[3.0, 5.0]]), scores=np.array([0.0]))
-    assert np.allclose(design_matrix(cd), [[1.0, 2.0]])
+    assert np.allclose(encode(np.array([[3.0, 5.0]]), cspace), [[1.0, 2.0]])
+
+
+def test_check_designs_names_the_fault():
+    space = DesignSpace.discrete(2, 4)
+    got = check_designs([[3, 0], [1.0, 2.0]], space)
+    assert got.dtype == np.int64 and np.array_equal(got, [[3, 0], [1, 2]])
+    with pytest.raises(ValueError, match=r"shape \(1, 8\), the space expects \(N, 2\) raw tokens"):
+        check_designs(encode([[1, 0]], space), space)
+    with pytest.raises(ValueError, match=r"shape \(2,\)"):
+        check_designs([1, 0], space)
+    with pytest.raises(ValueError, match="integer tokens"):
+        check_designs([[np.inf, 1.0]], space)
+    with pytest.raises(ValueError, match=r"token out of range \[0, 4\)"):
+        check_designs([[0, 4]], space)
+    with pytest.raises(ValueError, match="finite"):
+        check_designs([[np.nan, 1.0]], DesignSpace.continuous(2))
+    with pytest.raises(ValueError, match="raw coordinates"):
+        check_designs([[1.0]], DesignSpace.continuous(2))
 
 
 def test_dataset_validation():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ensmbo import nn
-from ensmbo.core import Dataset, DesignSpace, batch_tokens_to_onehot, design_matrix, select_bottom_fraction
+from ensmbo.core import Dataset, DesignSpace, encode, select_bottom_fraction
 from ensmbo.nn import (
     Ensemble,
     MlpModel,
@@ -196,7 +196,7 @@ def _same_model(got, want):
 
 
 def _onehot_rows(rng, n, seq_len=6, vocab=4):
-    return batch_tokens_to_onehot(rng.integers(0, vocab, (n, seq_len)), DesignSpace.discrete(seq_len, vocab))
+    return encode(rng.integers(0, vocab, (n, seq_len)), DesignSpace.discrete(seq_len, vocab))
 
 
 # (matrix, rows, explicit validation rows, config, early stopping fires)
@@ -271,7 +271,6 @@ def _toy_dataset(n=600, dim=4, seed=0):
 
 def test_ensemble_folds_disjoint_and_cover():
     ds = _toy_dataset(600)
-    X = design_matrix(ds)
     cfg = TrainConfig(epochs=1, batch_size=64, seed=0)
     # reproduce the fold split to check sizes
     ens = train_ensemble(ds, 6, cfg)
@@ -320,7 +319,7 @@ def test_ensemble_fold_too_small():
 
 def _serial_folds(ds, m, cfg):
     """The fold loop run in this process: the reference for the workers."""
-    X, y = design_matrix(ds), ds.scores
+    X, y = encode(ds.designs, ds.space), ds.scores
     folds = np.array_split(np.random.default_rng(cfg.seed).permutation(len(ds)), m)
     models = []
     for i, fold in enumerate(folds):
@@ -396,7 +395,7 @@ def test_ensemble_worker_without_result_is_named(two_cpus, monkeypatch):
 def test_no_one_builds_the_full_design_matrix(monkeypatch, cpus, m):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     rows = []
-    monkeypatch.setattr(nn, "design_matrix", lambda ds: rows.append(len(ds)) or design_matrix(ds))
+    monkeypatch.setattr(nn, "encode", lambda designs, space: rows.append(len(designs)) or encode(designs, space))
     ds = _toy_dataset(240)
     cfg = TrainConfig(epochs=2, batch_size=32, seed=2)
     ens = train_ensemble(ds, m, cfg)
@@ -405,7 +404,7 @@ def test_no_one_builds_the_full_design_matrix(monkeypatch, cpus, m):
         assert sorted(rows) == sorted([24, 216] if m == 1 else [80] * 3 + [160] * 3)
     else:
         assert rows == []
-    ref = [reference_train_arrays(design_matrix(ds), ds.scores, cfg)] if m == 1 else _serial_folds(ds, m, cfg)
+    ref = [reference_train_arrays(encode(ds.designs, ds.space), ds.scores, cfg)] if m == 1 else _serial_folds(ds, m, cfg)
     for got, want in zip(ens.models, ref):
         _same_model(got, want)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ensmbo.ascent import AscentConfig, Combiner, ascend_batch
-from ensmbo.core import select_bottom_fraction, select_top_n, tokens_to_onehot
+from ensmbo.core import encode, select_bottom_fraction, select_top_n
 from ensmbo.nn import TrainConfig, train_ensemble
 from ensmbo.tasks import (
     evaluate_oracle,
@@ -72,23 +72,22 @@ def test_minibind_bottom_half_max_below_total_max(minibind):
     assert mbo.scores.max() < total.scores.max()
 
 
-def test_minibind_oracle_accepts_hard_onehot(minibind):
-    toks = np.array([0, 1, 2, 3, 0, 1, 2, 3])
-    x = tokens_to_onehot(toks, minibind.space)
-    by_tokens = evaluate_oracle(minibind, [toks])[0]
-    by_onehot = evaluate_oracle(minibind, [x])[0]
-    assert by_tokens == by_onehot
+def test_minibind_oracle_refuses_onehot(minibind):
+    x = encode([[0, 1, 2, 3, 0, 1, 2, 3]], minibind.space)
+    calls = minibind.oracle.calls
+    with pytest.raises(ValueError, match=r"shape \(1, 32\), the space expects \(N, 8\) raw tokens"):
+        evaluate_oracle(minibind, x)
+    assert minibind.oracle.calls == calls
 
 
 def test_minibind_oracle_rejects_relaxed(minibind):
-    relaxed = np.full(32, 1.0 / 4.0)
-    with pytest.raises(ValueError, match="harden"):
-        evaluate_oracle(minibind, [relaxed])
-    with pytest.raises(ValueError, match="harden"):
+    with pytest.raises(ValueError, match=r"shape \(1, 32\)"):
+        evaluate_oracle(minibind, [np.full(32, 1.0 / 4.0)])
+    with pytest.raises(ValueError, match="integer tokens; harden"):
         evaluate_oracle(minibind, [np.array([0.5, 1, 2, 3, 0, 1, 2, 3])])
 
 
-def test_minibind_128_trajectories_yield_valid_onehots(minibind):
+def test_minibind_128_trajectories_yield_valid_tokens(minibind):
     mbo = select_bottom_fraction(minibind.total_dataset(), 0.5)
     ens = train_ensemble(mbo, 2, TrainConfig(epochs=1, batch_size=1024, seed=0))
     starts = select_top_n(mbo, 128)
@@ -96,9 +95,8 @@ def test_minibind_128_trajectories_yield_valid_onehots(minibind):
     trajs = ascend_batch(list(starts.designs), minibind.space, ens, cfg)
     assert len(trajs) == 128
     for traj in trajs:
-        blocks = traj.final.reshape(8, 4)
-        assert np.all(blocks.sum(axis=1) == 1.0)
-        assert np.all((blocks == 0.0) | (blocks == 1.0))
+        assert traj.final.dtype == np.int64 and traj.final.shape == (8,)
+        assert np.all((traj.final >= 0) & (traj.final < 4))
 
 
 # ---------------------------------------------------------------------------
