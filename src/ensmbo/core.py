@@ -320,13 +320,13 @@ def read_metadata(meta_path) -> dict:
     return meta
 
 
-def read_dataset_csv(csv_path, meta_path=None) -> tuple[Dataset, dict]:
-    """Parse a dataset CSV with its sidecar metadata.
+def read_dataset_csv(csv_path) -> tuple[Dataset, dict]:
+    """Parse a dataset CSV with its sidecar metadata ``<stem>.meta.json``.
 
     Malformed rows raise with the 1-based data row number.
     """
     csv_path = Path(csv_path)
-    meta = read_metadata(meta_path if meta_path is not None else metadata_path(csv_path))
+    meta = read_metadata(metadata_path(csv_path))
     if meta["kind"] == "discrete":
         space = DesignSpace.discrete(int(meta["L"]), int(meta["V"]))
     else:

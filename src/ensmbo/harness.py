@@ -45,7 +45,7 @@ from .core import (
     summarize_scores,
     write_dataset_csv,
 )
-from .nn import Ensemble, TrainConfig, mlp_forward, save_ensemble, stack_mlps, train_ensemble
+from .nn import Ensemble, TrainConfig, save_ensemble, train_ensemble
 from .tasks import TASK_REGISTRY, evaluate_oracle, export_task_csv, get_task, ingest_csv
 
 ALGORITHMS = tuple(c.value for c in Combiner)
@@ -190,8 +190,8 @@ def _prepare(cfg: ExperimentConfig):
 
 def _proxy_scores(finals, space, ens: Ensemble) -> np.ndarray:
     """Mean ensemble prediction of each raw final design."""
-    out, _ = mlp_forward(*stack_mlps(ens.models), encode(finals, space))
-    return out[:, :, 0].mean(axis=0)
+    X = encode(finals, space)
+    return np.mean([model.forward_batch(X) for model in ens.models], axis=0)
 
 
 def _ascend(starts, space: DesignSpace, ens, acfg: AscentConfig, task_name: str, run_seed: int):
@@ -211,6 +211,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     baseline_norm = normalize_score(float(mbo.scores.max()), task.y_min, task.y_max)
     alpha = cfg.resolved_alpha()
     cagrad_c = cfg.resolved_cagrad_c()
+    # Built before any training, so a bad setting is refused at once.
+    ascent_configs = {alg: AscentConfig(steps=cfg.steps, alpha=alpha, combiner=Combiner(alg),
+                                        cagrad_c=cagrad_c) for alg in cfg.algorithms}
 
     results: list[AlgoResult] = []
     val_metrics: dict = {}
@@ -223,11 +226,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         ensembles[rs] = ens
         val_metrics[rs] = ens.validation_metrics()
         starts = select_top_n(mbo, cfg.n_candidates)
-        for alg in cfg.algorithms:
+        for alg, acfg in ascent_configs.items():
             a0 = time.perf_counter()
-            acfg = AscentConfig(
-                steps=cfg.steps, alpha=alpha, combiner=Combiner(alg), cagrad_c=cagrad_c
-            )
             finals = np.array([t.final for t in _ascend(starts, space_run, ens, acfg, task.name, rs)])
             if task.oracle is not None:
                 if task.oracle.calls != sum(r.scores.shape[0] for r in results):
@@ -358,11 +358,10 @@ def report_markdown(report: RunReport) -> str:
         "Markers: **best**, *second best* per column; ties break toward the",
         "earlier row. The dataset row is the normalized best score in the",
         "starting offline MBO dataset.",
-        "",
     ]
     if multi:
-        lines.insert(-2, "Values are mean ± standard deviation over run seeds.")
-    return "\n".join(lines)
+        lines.append("Values are mean ± standard deviation over run seeds.")
+    return "\n".join(lines + [""])
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +495,13 @@ def _seed_list(text: str) -> tuple:
     return tuple(seeds)
 
 
+def _positive_int(text: str) -> int:
+    """A count flag's value: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ensmbo", description="Ensemble-based offline model-based optimization"
@@ -512,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(tune)
     _add_ascent(tune)
     tune.add_argument("--combiner", default="mean", choices=ALGORITHMS, help="combiner (default mean)")
-    tune.add_argument("--n-trajectories", type=int, default=4, help="starts to trace (default 4)")
+    tune.add_argument("--n-trajectories", type=_positive_int, default=4, help="starts to trace (default 4)")
 
     run = sub.add_parser("run", help="full experiment")
     _add_common(run)
@@ -585,7 +591,6 @@ def cmd_tune(args) -> int:
     (combiner,) = cfg.algorithms
     task, mbo, space_run = _prepare(cfg)
     calls_before = task.oracle.calls if task.oracle is not None else 0
-    ens = train_ensemble(mbo, cfg.ensemble_size, replace(cfg.train, seed=cfg.task_seed))
     acfg = AscentConfig(
         steps=cfg.steps,
         alpha=cfg.resolved_alpha(),
@@ -594,6 +599,7 @@ def cmd_tune(args) -> int:
         record_trajectory=True,
     )
     starts = select_top_n(mbo, min(args.n_trajectories, len(mbo)))
+    ens = train_ensemble(mbo, cfg.ensemble_size, replace(cfg.train, seed=cfg.task_seed))
     trajs = _ascend(starts, space_run, ens, acfg, task.name, cfg.task_seed)
     out = _out_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)

@@ -4,11 +4,11 @@ The proxy models are plain numpy MLPs (ReLU hidden layers, identity
 output) trained with Adam on mean squared error.  A training step is
 fused: the parameters and their gradients live in flat buffers, and Adam
 and the finiteness check run once per step over them.  Everything is
-seeded, and the fold models of an ensemble train in worker processes
-pinned to one BLAS thread each.  A worker gets the dataset's raw rows and
-builds each fold's design matrices from that fold's rows, so a (data,
-config) pair reproduces the same weights bit for bit and no process holds
-the full design matrix.
+seeded.  Every proxy, a single model too, is an ensemble member, and the
+members train in worker processes pinned to one BLAS thread each.  A
+worker gets the dataset's raw rows and builds each member's design
+matrices from that member's rows, so a (data, config) pair reproduces the
+same weights bit for bit and no process holds the full design matrix.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, encode
-
-DEFAULT_HIDDEN = (64, 64)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -147,9 +145,8 @@ def stack_mlps(models):
     return weights, biases
 
 
-def init_mlp(input_dim: int, hidden=DEFAULT_HIDDEN, rng: np.random.Generator | None = None) -> MlpModel:
+def init_mlp(input_dim: int, hidden, rng: np.random.Generator) -> MlpModel:
     """He-initialized MLP; biases start at zero."""
-    rng = rng if rng is not None else np.random.default_rng(0)
     dims = [input_dim, *hidden, 1]
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -166,7 +163,7 @@ class TrainConfig:
     weight_decay: float = 1e-6
     seed: int = 0
     patience: int = 10
-    hidden: tuple = DEFAULT_HIDDEN
+    hidden: tuple = (64, 64)
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
@@ -231,48 +228,15 @@ def _adam_step(p, g, m, v, t, lr, tmp, step):
     p -= step
 
 
-def _check_rows(n: int, cfg: TrainConfig) -> None:
-    if n < cfg.batch_size:
-        raise ValueError(
-            f"need at least batch_size training rows: got {n} rows for batch_size "
-            f"{cfg.batch_size}; set train.batch_size in an `ensmbo run --config` file"
-        )
-
-
-def _holdout(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The seeded 90/10 split of n rows: (validation rows, training rows)."""
-    n_val = max(1, n // 10)
-    perm = rng.permutation(n)
-    return perm[:n_val], perm[n_val:]
-
-
-def train_arrays(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
-                 X_val: np.ndarray | None = None, y_val: np.ndarray | None = None) -> MlpModel:
-    """Train on explicit arrays (optimization representation).
-
-    When no validation arrays are given, a seeded 90/10 split is carved out
-    of the training data. Aborts with ``FloatingPointError`` if the loss or
-    the weights go non-finite.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_rows(X.shape[0], cfg)
-    rng = np.random.default_rng(cfg.seed)
-    if X_val is None:
-        val, rows = _holdout(X.shape[0], rng)
-        X_val, y_val = X[val], y[val]
-        X, y = X[rows], y[rows]
-    return _fit(X, y, X_val, y_val, cfg, rng)
-
-
 def _fit(X, y, X_val, y_val, cfg: TrainConfig, rng: np.random.Generator) -> MlpModel:
-    """The training loop of ``train_arrays``, after its split.
+    """The training loop of one member, on its design matrices.
 
     One step is fused: the weights and biases are views into one flat
     buffer, the kernel's products write the gradients into views of a flat
     gradient buffer, and Adam and the finiteness check run once over the
     flat buffers.  The weights are bitwise those of one Adam loop per
-    parameter array.
+    parameter array.  Aborts with ``FloatingPointError`` if the loss or the
+    weights go non-finite.
     """
     model = init_mlp(X.shape[1], hidden=cfg.hidden, rng=rng)
     n_layers = len(model.weights)
@@ -336,67 +300,65 @@ def _fit(X, y, X_val, y_val, cfg: TrainConfig, rng: np.random.Generator) -> MlpM
     return model
 
 
-def _train_rows(data: Dataset, rows, val_rows, cfg: TrainConfig, rng: np.random.Generator) -> MlpModel:
-    """Train on the dataset's ``rows`` and validate on its ``val_rows``.
-
-    The design matrices are built from those rows alone: the encoding and
-    the normalization are elementwise, so they equal the rows of the full
-    matrix bit for bit, and no one holds the full matrix.
-    """
-    return _fit(encode(data.designs[rows], data.space), data.scores[rows],
-                encode(data.designs[val_rows], data.space), data.scores[val_rows], cfg, rng)
-
-
 def train(data: Dataset, cfg: TrainConfig) -> MlpModel:
     """Supervised regression on a dataset; seeded and deterministic.  It is
-    ``train_arrays`` with its internal 90/10 split, each side's matrix
-    built from its own rows."""
-    _check_rows(len(data), cfg)
-    rng = np.random.default_rng(cfg.seed)
-    val_rows, rows = _holdout(len(data), rng)
-    return _train_rows(data, rows, val_rows, cfg, rng)
+    the model of a one-member ``train_ensemble``."""
+    return train_ensemble(data, 1, cfg).models[0]
 
 
 def train_ensemble(data: Dataset, m: int, cfg: TrainConfig) -> Ensemble:
     """Train m models on complementary folds of the dataset.
 
-    A seeded shuffle splits the data into m folds; model i validates on
-    fold i and trains on the rest, with per-model seed ``cfg.seed + i``.
-    A single-model ensemble falls back to the internal 90/10 split.
+    A seeded shuffle splits the rows into folds; member i validates on
+    fold i, trains on the rest and draws from its own generator.  For
+    m >= 2 the folds are m near-equal parts and member i's generator is
+    seeded ``cfg.seed + i``.  A single model has two folds, the first 10%
+    of the shuffle (at least one row) and the rest, and keeps drawing from
+    the shuffle's generator.  The training rows (for m = 1, all rows) are
+    checked against ``batch_size`` before any member trains.
 
-    The folds train in W = min(m, usable CPUs) worker processes, each at
-    one BLAS thread; worker w trains folds w, w + W, w + 2W, ....  With
-    W < 2 they train in this process.  A worker gets the dataset's raw
-    rows (tokens or coordinates, scores and space), not its design
-    matrix.  Each fold, in a worker or here, builds its training and
-    validation matrices from its own rows, so no path builds the full
-    matrix.  Either way the models are the ones ``train_arrays`` gives on
-    the full matrix's fold rows, bit for bit, and come back in fold order.
-    A fold that fails raises what training it in this process would
-    raise, from the lowest failing fold; a worker that ends without a
-    result raises ``RuntimeError`` naming it, its folds and its exit code.
-    Every worker has ended when this returns or raises.
+    The members train in W = min(m, usable CPUs) worker processes, each at
+    one BLAS thread; worker w trains members w, w + W, w + 2W, ....  With
+    W < 2 they train in this process.  Either way the models are the same
+    bits and come back in member order.  A member that fails raises what
+    training it in this process would raise, from the lowest failing
+    member; a worker that ends without a result raises ``RuntimeError``
+    naming it, its folds and its exit code.  Every worker has ended when
+    this returns or raises.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     n = len(data)
-    if m == 1:
-        return Ensemble(models=[train(data, cfg)])
-    if n < m:
-        raise ValueError("fold smaller than 1 sample")
     rng = np.random.default_rng(cfg.seed)
-    perm = rng.permutation(n)
-    folds = np.array_split(perm, m)
+    if m == 1:
+        perm = rng.permutation(n)
+        n_val = max(1, n // 10)
+        folds, members, train_rows = [perm[:n_val], perm[n_val:]], [(0, rng)], [n]
+    else:
+        if n < m:
+            raise ValueError("fold smaller than 1 sample")
+        folds = np.array_split(rng.permutation(n), m)
+        members = [(i, np.random.default_rng(cfg.seed + i)) for i in range(m)]
+        train_rows = [n - len(fold) for fold in folds]
+    for rows in train_rows:
+        if rows < cfg.batch_size:
+            raise ValueError(
+                f"need at least batch_size training rows: got {rows} rows for batch_size "
+                f"{cfg.batch_size}; set train.batch_size in an `ensmbo run --config` file"
+            )
     n_workers = min(m, len(os.sched_getaffinity(0)))
     if n_workers < 2:
-        return Ensemble(models=[_train_fold(data, folds, i, cfg) for i in range(m)])
-    return Ensemble(models=_train_in_workers(data, folds, cfg, n_workers))
+        return Ensemble(models=[_train_fold(data, folds, i, r, cfg) for i, r in members])
+    return Ensemble(models=_train_in_workers(data, folds, members, cfg, n_workers))
 
 
-def _train_fold(data: Dataset, folds, i, cfg: TrainConfig) -> MlpModel:
+def _train_fold(data: Dataset, folds, i, rng: np.random.Generator, cfg: TrainConfig) -> MlpModel:
+    """Member ``i``: trains on every fold but fold ``i``, validates on fold
+    ``i`` and draws from ``rng``.  Its matrices, built from those rows alone,
+    are the full matrix's rows bit for bit: the encoding is elementwise."""
     rows = np.concatenate([f for j, f in enumerate(folds) if j != i])
-    _check_rows(len(rows), cfg)
-    return _train_rows(data, rows, folds[i], cfg, np.random.default_rng(cfg.seed + i))
+    return _fit(encode(data.designs[rows], data.space), data.scores[rows],
+                encode(data.designs[folds[i]], data.space), data.scores[folds[i]], cfg, rng)
 
 
 # The workers are plain interpreters started by subprocess, not a
@@ -407,17 +369,18 @@ _PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _fold_worker() -> None:
-    """Worker entry point: reads (dataset, folds, fold ids, cfg) pickled on
-    stdin, trains those folds in order and pickles [(fold, model or the
-    exception it raised)] on stdout.  It stops at its first failing fold,
-    since its later folds cannot be the lowest failing one."""
+    """Worker entry point: reads (dataset, folds, members, cfg) pickled on
+    stdin, where members are (fold, generator) pairs, trains those members
+    in order and pickles [(fold, model or the exception it raised)] on
+    stdout.  It stops at its first failing member, since its later members
+    cannot be the lowest failing one."""
     out = sys.stdout.buffer
     sys.stdout = sys.stderr  # stdout carries the result alone
-    data, folds, ids, cfg = pickle.load(sys.stdin.buffer)
+    data, folds, members, cfg = pickle.load(sys.stdin.buffer)
     results = []
-    for i in ids:
+    for i, rng in members:
         try:
-            results.append((i, _train_fold(data, folds, i, cfg)))
+            results.append((i, _train_fold(data, folds, i, rng, cfg)))
         except Exception as exc:
             results.append((i, exc))
             break
@@ -425,10 +388,10 @@ def _fold_worker() -> None:
     out.flush()
 
 
-def _train_in_workers(data, folds, cfg, n_workers) -> list:
+def _train_in_workers(data, folds, members, cfg, n_workers) -> list:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_PACKAGE_PARENT, env.get("PYTHONPATH")]))
-    jobs = [list(range(w, len(folds), n_workers)) for w in range(n_workers)]
+    jobs = [members[w::n_workers] for w in range(n_workers)]
     procs = []
     try:
         for _ in jobs:
@@ -437,17 +400,18 @@ def _train_in_workers(data, folds, cfg, n_workers) -> list:
         # Every input is written before any result is read: a worker reads
         # all of its input before it writes anything.  Protocol 5 streams
         # the arrays' buffers into the pipe without copying them.
-        for proc, ids in zip(procs, jobs):
+        for proc, job in zip(procs, jobs):
             try:
                 with proc.stdin:
-                    pickle.dump((data, folds, ids, cfg), proc.stdin, protocol=5)
+                    pickle.dump((data, folds, job, cfg), proc.stdin, protocol=5)
             except BrokenPipeError:
                 pass  # the worker has ended; its exit code is reported below
         results = {}
-        for w, (proc, ids) in enumerate(zip(procs, jobs)):
+        for w, (proc, job) in enumerate(zip(procs, jobs)):
             blob = proc.stdout.read()
             code = proc.wait()
             if code != 0 or not blob:
+                ids = [i for i, _ in job]
                 raise RuntimeError(f"training worker {w} (folds {ids}) exited with code {code} "
                                    "without a result")
             results.update(pickle.loads(blob))
@@ -460,8 +424,8 @@ def _train_in_workers(data, folds, cfg, n_workers) -> list:
             with contextlib.suppress(BrokenPipeError):  # unsent input of a killed worker
                 proc.stdin.close()
     models = []
-    for i in range(len(folds)):
-        # A fold missing from the results follows a failed fold of its worker.
+    for i, _ in members:
+        # A member missing from the results follows a failed member of its worker.
         if isinstance(results[i], Exception):
             raise results[i]
         models.append(results[i])

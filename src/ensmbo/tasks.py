@@ -59,16 +59,15 @@ class Oracle:
 
 @dataclass(eq=False)
 class TaskSpec:
-    """A named task: design space, oracle, seed, and total-dataset extremes."""
+    """A named task: design space, oracle, total dataset and its extremes."""
 
     name: str
     space: DesignSpace
     oracle: Oracle | None
-    seed: int
     y_min: float
     y_max: float
+    _total: Dataset = field(repr=False)
     params: dict = field(default_factory=dict)
-    _total: Dataset | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (self.y_min < self.y_max):
@@ -79,8 +78,6 @@ class TaskSpec:
         return len(self.total_dataset())
 
     def total_dataset(self) -> Dataset:
-        if self._total is None:
-            raise ValueError(f"task '{self.name}' has no materialized total dataset")
         return self._total
 
 
@@ -91,7 +88,7 @@ def evaluate_oracle(task: TaskSpec, designs) -> list[float]:
     return [task.oracle.score(d) for d in check_designs(designs, task.space)]
 
 
-def _seeded_task(name: str, seed: int, designs, scores, score_one, params: dict,
+def _seeded_task(name: str, designs, scores, score_one, params: dict,
                  space: DesignSpace | None = None) -> TaskSpec:
     """A task over its total dataset, scored by ``score_one``.
 
@@ -101,7 +98,7 @@ def _seeded_task(name: str, seed: int, designs, scores, score_one, params: dict,
     if space is None:
         mean, std = stats_from_designs(designs)
         space = DesignSpace.continuous(designs.shape[1], mean=mean, std=std)
-    return TaskSpec(name=name, space=space, oracle=Oracle(fn=score_one), seed=seed,
+    return TaskSpec(name=name, space=space, oracle=Oracle(fn=score_one),
                     y_min=float(scores.min()), y_max=float(scores.max()), params=params,
                     _total=Dataset(space=space, designs=designs, scores=scores))
 
@@ -155,13 +152,14 @@ def make_minibind(seed: int) -> TaskSpec:
     def lookup(design: np.ndarray) -> float:
         return float(scores[int(design @ powers)])
 
-    return _seeded_task("minibind", seed, tokens, scores, lookup, {"A": a, "B": b}, space)
+    return _seeded_task("minibind", tokens, scores, lookup, {"A": a, "B": b}, space)
 
 
 # ---------------------------------------------------------------------------
 # Ridge: continuous manifold task with an off-manifold penalty
 # ---------------------------------------------------------------------------
 
+RIDGE_DIM = 16
 RIDGE_BETA = 5.0
 RIDGE_NOISE = 0.1
 RIDGE_SIZE = 20_000
@@ -171,18 +169,16 @@ def _saturating_gain(t: np.ndarray) -> np.ndarray:
     return 10.0 * t / (1.0 + np.abs(t))
 
 
-def make_ridge(seed: int, dim: int = 16) -> TaskSpec:
-    """Continuous task whose valid designs lie on a narrow manifold.
+def make_ridge(seed: int) -> TaskSpec:
+    """Continuous 16-dim task whose valid designs lie on a narrow manifold.
 
     f(x) = s(<u, x_par>) - beta*||x_perp||^2 where x_par is the first
-    ceil(dim/4) coordinates, u a seeded unit vector, beta = 5, and
+    ceil(16/4) = 4 coordinates, u a seeded unit vector, beta = 5, and
     s(t) = 10*t/(1+|t|).  The 20,000-point total dataset samples
     x_perp ~ N(0, 0.1^2), so off-manifold excursions are punished by the
     oracle but invisible to proxies trained on the data.
     """
-    if dim < 4:
-        raise ValueError("ridge needs dim >= 4")
-    k = math.ceil(dim / 4)
+    k = math.ceil(RIDGE_DIM / 4)
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(k)
     u /= np.linalg.norm(u)
@@ -192,38 +188,37 @@ def make_ridge(seed: int, dim: int = 16) -> TaskSpec:
         return float(_saturating_gain(np.asarray(t)) - RIDGE_BETA * float(x[k:] @ x[k:]))
 
     x_par = rng.standard_normal((RIDGE_SIZE, k))
-    x_perp = rng.standard_normal((RIDGE_SIZE, dim - k)) * RIDGE_NOISE
+    x_perp = rng.standard_normal((RIDGE_SIZE, RIDGE_DIM - k)) * RIDGE_NOISE
     designs = np.hstack([x_par, x_perp])
     scores = _saturating_gain(x_par @ u) - RIDGE_BETA * np.sum(x_perp**2, axis=1)
-    return _seeded_task("ridge", seed, designs, scores, score_one, {"u": u, "k": k, "beta": RIDGE_BETA})
+    return _seeded_task("ridge", designs, scores, score_one, {"u": u, "k": k, "beta": RIDGE_BETA})
 
 
 # ---------------------------------------------------------------------------
 # Bowl: concave quadratic sanity task
 # ---------------------------------------------------------------------------
 
+BOWL_DIM = 4
 BOWL_SIZE = 10_000
 
 
-def make_bowl(seed: int, dim: int = 4) -> TaskSpec:
-    """f(x) = -||x - x*||^2 with a seeded optimum; unique known maximum.
+def make_bowl(seed: int) -> TaskSpec:
+    """f(x) = -||x - x*||^2 in 4 dims with a seeded optimum; unique known maximum.
 
     Samples are Gaussian around the optimum so the peak region is covered
     and well-fit proxies can actually find it.
     """
-    if dim < 1:
-        raise ValueError("bowl needs dim >= 1")
     rng = np.random.default_rng(seed)
-    x_star = rng.standard_normal(dim)
+    x_star = rng.standard_normal(BOWL_DIM)
 
     def score_one(x: np.ndarray) -> float:
         diff = x - x_star
         return -float(diff @ diff)
 
-    designs = x_star + rng.standard_normal((BOWL_SIZE, dim))
+    designs = x_star + rng.standard_normal((BOWL_SIZE, BOWL_DIM))
     diffs = designs - x_star
     scores = -np.sum(diffs**2, axis=1)
-    return _seeded_task("bowl", seed, designs, scores, score_one, {"x_star": x_star})
+    return _seeded_task("bowl", designs, scores, score_one, {"x_star": x_star})
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +242,17 @@ def export_task_csv(task: TaskSpec, csv_path) -> None:
     write_dataset_csv(task.total_dataset(), csv_path, task.y_min, task.y_max)
 
 
-def ingest_csv(csv_path, meta_path=None) -> tuple[TaskSpec, Dataset]:
+def ingest_csv(csv_path) -> tuple[TaskSpec, Dataset]:
     """Load an external dataset; the resulting task carries no oracle.
 
     Oracle-requiring operations raise for such tasks; the harness falls
     back to proxy-predicted scores flagged as unverified.
     """
-    ds, meta = read_dataset_csv(csv_path, meta_path)
+    ds, meta = read_dataset_csv(csv_path)
     task = TaskSpec(
         name=f"external:{csv_path}",
         space=ds.space,
         oracle=None,
-        seed=0,
         y_min=float(meta["y_min_total"]),
         y_max=float(meta["y_max_total"]),
         _total=ds,

@@ -85,7 +85,7 @@ def reference_ascent(start, space, ens, cfg):
 
 
 # ---------------------------------------------------------------------------
-# Reference training: the per-parameter loop that `nn.train_arrays` fuses,
+# Reference training: the per-parameter loop that `nn._fit` fuses,
 # with its own copy of the allocating forward/backward kernel, as an oracle
 # for the fused step's bits.
 # ---------------------------------------------------------------------------
@@ -123,8 +123,10 @@ def _reference_adam_step(params, grads, m_state, v_state, t, lr):
 
 
 def reference_train_arrays(X, y, cfg, X_val=None, y_val=None) -> MlpModel:
-    """`nn.train_arrays` as one Adam loop per parameter array and one
-    finiteness check per array, every product allocating its result."""
+    """One proxy's training as one Adam loop per parameter array and one
+    finiteness check per array, every product allocating its result.
+    Given validation arrays it is `nn._fit` seeded ``cfg.seed``; without
+    them it first carves the one-member 90/10 split of `nn.train`."""
     from ensmbo.nn import init_mlp, spearman
 
     X = np.asarray(X, dtype=np.float64)

@@ -145,6 +145,28 @@ def test_report_tie_rule_marks_earlier_row():
     assert marked[2][1] == "0.5"
 
 
+def test_report_multi_seed_cells_and_footer():
+    cfg = fast_config(algorithms=("single", "mean"), run_seeds=(1, 2))
+    report = run_experiment(cfg)
+    text = report_markdown(report)
+    agg = report.aggregate()
+    tables = {"max_norm": "## Max (normalized)", "p50_norm": "## 50th percentile",
+              "mean": "## Average (raw)", "mean_norm": "## Average (normalized)"}
+    for metric, title in tables.items():
+        table = text[text.index(title):].split("\n\n")[1].splitlines()
+        for alg, label in (("single", "single model"), ("mean", "ensemble, mean")):
+            mean, std = agg[alg][metric]
+            (row,) = [line for line in table if line.startswith(f"| {label} |")]
+            assert row.strip("|* ").endswith(f"{mean + 0.0:.6f} ± {std + 0.0:.6f}")
+    assert "| dataset | " in text and " ± " not in text.split("| dataset | ")[1].splitlines()[0]
+    assert text.endswith(
+        "Markers: **best**, *second best* per column; ties break toward the\n"
+        "earlier row. The dataset row is the normalized best score in the\n"
+        "starting offline MBO dataset.\n"
+        "Values are mean ± standard deviation over run seeds.\n"
+    )
+
+
 def test_report_tables_present():
     cfg = fast_config(algorithms=("single", "mean"))
     text = report_markdown(run_experiment(cfg))
@@ -353,6 +375,35 @@ def test_cli_bad_run_seeds_name_the_flag_and_the_piece(seeds, piece, capsys):
     assert cli_main(["run", "--task", "bowl", "--run-seeds", seeds]) == 2
     err = capsys.readouterr().err
     assert "--run-seeds" in err and f"{piece} in '{seeds}' is not an integer" in err
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    """A command that trains fails: its settings must be refused first."""
+    import ensmbo.harness as harness
+
+    def train_ensemble(*args):
+        raise AssertionError("trained before the settings were checked")
+
+    monkeypatch.setattr(harness, "train_ensemble", train_ensemble)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["run", "--alpha", "0"], "alpha must be positive"),
+    (["run", "--cagrad-c", "1.5"], "CAGrad c must lie in [0, 1)"),
+    (["tune", "--combiner", "cagrad", "--cagrad-c", "1.5"], "CAGrad c must lie in [0, 1)"),
+    (["tune", "--alpha", "-1"], "alpha must be positive"),
+])
+def test_bad_ascent_setting_is_refused_before_training(argv, error, tmp_path, capsys, no_training):
+    assert cli_main(argv + ["--task", "bowl", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_cli_bad_n_trajectories_names_the_flag(value, tmp_path, capsys, no_training):
+    assert cli_main(["tune", "--task", "bowl", "--n-trajectories", value, "--out", str(tmp_path)]) == 2
+    assert f"argument --n-trajectories: {value} is not a positive integer" in capsys.readouterr().err
 
 
 def test_cli_error_exits_1(capsys):

@@ -18,7 +18,6 @@ from ensmbo.nn import (
     save_ensemble,
     spearman,
     train,
-    train_arrays,
     train_ensemble,
 )
 from ensmbo.tasks import make_minibind
@@ -147,13 +146,19 @@ def test_relu_kink_uses_zero_subgradient():
 # training
 # ---------------------------------------------------------------------------
 
+def _continuous(X, y):
+    """A dataset whose design matrix is X itself: a continuous space with
+    the default statistics (mean 0, std 1) encodes bit for bit."""
+    return Dataset(space=DesignSpace.continuous(X.shape[1]), designs=X, scores=y)
+
+
 def test_train_recovers_linear_function():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((512, 4))
     y = X @ np.array([1.0, -2.0, 0.5, 3.0]) + 0.25
     cfg = TrainConfig(epochs=400, batch_size=128, learning_rate=1e-2,
                       weight_decay=0.0, seed=1, patience=400, hidden=())
-    m = train_arrays(X, y, cfg)
+    m = train(_continuous(X, y), cfg)
     pred = m.forward_batch(X)
     assert np.mean((pred - y) ** 2) < 1e-4
 
@@ -164,7 +169,7 @@ def test_train_constant_targets():
     y = np.full(300, 7.5)
     cfg = TrainConfig(epochs=400, batch_size=64, learning_rate=5e-2, weight_decay=0.0,
                       seed=0, patience=400, hidden=())
-    m = train_arrays(X, y, cfg)
+    m = train(_continuous(X, y), cfg)
     assert m.val_mse < 1e-4
     assert np.isnan(m.val_spearman)  # rank correlation undefined on constants
 
@@ -174,7 +179,7 @@ def test_train_is_deterministic():
     X = rng.standard_normal((300, 5))
     y = np.sin(X[:, 0]) + X[:, 1]
     cfg = TrainConfig(epochs=5, batch_size=64, seed=9)
-    m1, m2 = train_arrays(X, y, cfg), train_arrays(X, y, cfg)
+    m1, m2 = train(_continuous(X, y), cfg), train(_continuous(X, y), cfg)
     for a, b in zip(m1.weights + m1.biases, m2.weights + m2.biases):
         assert np.array_equal(a, b)
 
@@ -185,7 +190,7 @@ def test_train_aborts_on_nonfinite_loss():
     y = np.full(64, 1e200)
     cfg = TrainConfig(epochs=2, batch_size=32, seed=0)
     with pytest.raises(FloatingPointError, match="non-finite"):
-        train_arrays(X, y, cfg)
+        train(_continuous(X, y), cfg)
 
 
 def _same_model(got, want):
@@ -195,11 +200,9 @@ def _same_model(got, want):
     assert np.array_equal(got.val_spearman, want.val_spearman, equal_nan=True)
 
 
-def _onehot_rows(rng, n, seq_len=6, vocab=4):
-    return encode(rng.integers(0, vocab, (n, seq_len)), DesignSpace.discrete(seq_len, vocab))
-
-
-# (matrix, rows, explicit validation rows, config, early stopping fires)
+# (matrix, rows, explicit validation rows, config, early stopping fires).
+# Without explicit validation rows the case trains through `train` and its
+# one-member split; with them it drives the loop `_fit` directly.
 FUSED_STEP_CASES = {
     "continuous-no-decay-internal-split": (
         "continuous", 300, None,
@@ -221,14 +224,26 @@ FUSED_STEP_CASES = {
 def test_fused_step_matches_per_parameter_loop_bitwise(case, monkeypatch):
     kind, n, n_val, cfg, stops_early = FUSED_STEP_CASES[case]
     rng = np.random.default_rng(len(case))
-    X = _onehot_rows(rng, n + (n_val or 0)) if kind == "onehot" else rng.standard_normal((n + (n_val or 0), 7))
+    rows = n + (n_val or 0)
+    if kind == "onehot":
+        space = DesignSpace.discrete(6, 4)
+        designs = rng.integers(0, 4, (rows, 6))
+    else:
+        space = DesignSpace.continuous(7)
+        designs = rng.standard_normal((rows, 7))
+    X = encode(designs, space)
     y = np.sin(X @ rng.standard_normal(X.shape[1])) + 0.1 * rng.standard_normal(X.shape[0])
-    val = () if n_val is None else (X[n:], y[n:])
     train_rows = n - max(1, n // 10) if n_val is None else n
     assert train_rows % cfg.batch_size != 0  # a short last batch
     epochs, mse = [], nn._mse  # _mse runs once per epoch
     monkeypatch.setattr(nn, "_mse", lambda *a: epochs.append(1) or mse(*a))
-    _same_model(train_arrays(X[:n], y[:n], cfg, *val), reference_train_arrays(X[:n], y[:n], cfg, *val))
+    if n_val is None:
+        got = train(Dataset(space=space, designs=designs, scores=y), cfg)
+        want = reference_train_arrays(X, y, cfg)
+    else:
+        got = nn._fit(X[:n], y[:n], X[n:], y[n:], cfg, np.random.default_rng(cfg.seed))
+        want = reference_train_arrays(X[:n], y[:n], cfg, X[n:], y[n:])
+    _same_model(got, want)
     assert (len(epochs) < cfg.epochs) == stops_early
 
 
@@ -240,13 +255,13 @@ def test_train_aborts_on_nonfinite_weights():
     with pytest.raises(FloatingPointError) as want:
         reference_train_arrays(X, y, cfg)
     with pytest.raises(FloatingPointError) as got:
-        train_arrays(X, y, cfg)
+        train(_continuous(X, y), cfg)
     assert str(got.value) == str(want.value) == "non-finite weights after epoch 0 update"
 
 
 def test_train_needs_enough_rows():
-    with pytest.raises(ValueError):
-        train_arrays(np.ones((4, 2)), np.ones(4), TrainConfig(batch_size=8))
+    with pytest.raises(ValueError, match="got 4 rows for batch_size 8"):
+        train(_continuous(np.ones((4, 2)), np.ones(4)), TrainConfig(batch_size=8))
 
 
 def test_train_on_dataset_wrapper():
@@ -318,14 +333,15 @@ def test_ensemble_fold_too_small():
 
 
 def _serial_folds(ds, m, cfg):
-    """The fold loop run in this process: the reference for the workers."""
+    """The folds trained one by one by the per-parameter reference loop on
+    the full design matrix: the reference for the workers."""
     X, y = encode(ds.designs, ds.space), ds.scores
     folds = np.array_split(np.random.default_rng(cfg.seed).permutation(len(ds)), m)
     models = []
     for i, fold in enumerate(folds):
         train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
-        models.append(train_arrays(X[train_idx], y[train_idx], replace(cfg, seed=cfg.seed + i),
-                                   X[fold], y[fold]))
+        models.append(reference_train_arrays(X[train_idx], y[train_idx], replace(cfg, seed=cfg.seed + i),
+                                             X[fold], y[fold]))
     return models
 
 

@@ -105,7 +105,7 @@ def test_minibind_128_trajectories_yield_valid_tokens(minibind):
 
 @pytest.fixture(scope="module")
 def ridge():
-    return make_ridge(0, dim=16)
+    return make_ridge(0)
 
 
 def test_ridge_zero_input_scores_zero(ridge):
@@ -128,16 +128,11 @@ def test_ridge_scores_bounded_by_ten(ridge):
 
 
 def test_ridge_reproducible_and_extremes(ridge):
-    again = make_ridge(0, dim=16)
+    again = make_ridge(0)
     assert np.array_equal(ridge.total_dataset().designs, again.total_dataset().designs)
     scores = ridge.total_dataset().scores
     assert ridge.y_min == scores.min() and ridge.y_max == scores.max()
     assert len(ridge.total_dataset()) == 20_000
-
-
-def test_ridge_dim_guard():
-    with pytest.raises(ValueError):
-        make_ridge(0, dim=3)
 
 
 # ---------------------------------------------------------------------------
