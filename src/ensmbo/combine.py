@@ -11,10 +11,11 @@ each combiner produces one update direction d:
               ||d - g0|| <= c*||g0||
 
 MGDA and CAGrad are solved through their simplex-constrained duals
-(m decision variables) by one engine that solves a stack of gradient sets
-in lockstep: Wolfe's min-norm-point algorithm (MGDA), or active-set
-Newton with an exact step at the dual's kink g_w = 0 (CAGrad).  The
-per-point solvers are its one-row case.
+(m decision variables) by one finite active-set engine that solves a
+stack of gradient sets in lockstep: Wolfe's major and minor cycles, whose
+face solves give MGDA's minimizer and, with one more right-hand side,
+CAGrad's in closed form, with an exact tie step at CAGrad's kink g_w = 0.
+The per-point solvers are its one-row case.
 Low-dimensional primal reference solvers maximize over d directly and
 serve as independent oracles in the test suite.
 """
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SMOOTH_EPS = 1e-12  # smoothing of ||g_w|| in the CAGrad dual
 WEIGHT_FLOOR = -1e-12
 WEIGHT_SUM_TOL = 1e-10
 PRIMAL_MAX_DIM = 16
@@ -170,18 +170,16 @@ def _project_rows(v):
 # ---------------------------------------------------------------------------
 #
 # ``solve_mgda_batch`` and ``solve_cagrad_batch`` solve B gradient sets at
-# once, every row in lockstep: Wolfe's min-norm-point algorithm (MGDA) or an
-# active-set Newton solve (CAGrad) from each row's warm start.  Rows whose
-# support (or free set) has the same size k are gathered into one
-# (G, k+1, k+1) stack of KKT matrices for one stacked LAPACK solve, and
-# every other operation is one dot product or gemv per row (with Python's
-# float power), so a row's result does not depend on the other rows.  A
-# CAGrad row that Newton leaves above DUAL_TOL takes the exact tie step at
-# the g_w = 0 kink or one more Newton solve (``_unstall``); a row still above
-# DUAL_TOL is a SolverError.  ``solve_mgda_dual`` and ``solve_cagrad_dual`` are the
+# once, every row in lockstep, with one active-set engine (Wolfe's major and
+# minor cycles, ``_active_set_rows``) from each row's warm start.  Rows whose
+# support has the same size k are gathered into one (G, k+1, k+1) stack of
+# KKT matrices for one stacked LAPACK solve, and every other operation is
+# one dot product or gemv per row, so a row's result does not depend on the
+# other rows.  A CAGrad row that ends at the dual's kink g_w = 0 takes the
+# exact tie step (``_tie_step``) or, where that fails, restarts once at the
+# vertex of least gain along g0; a row still above DUAL_TOL is a
+# SolverError.  ``solve_mgda_dual`` and ``solve_cagrad_dual`` are the
 # one-row case.
-
-_INNER, _OUTER, _DONE = range(3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,25 +228,30 @@ def _by_size(rows, mask):
         yield int(k), rows[sel], np.nonzero(sub[sel])[1].reshape(-1, k)
 
 
-def _solve_kkt(block, top, last):
-    """Solve the stacked systems [[block, 1], [1^T, 0]] x = [top, last]; the
-    solution of a row whose system is singular is NaN."""
+def _solve_kkt(block, b_s=None):
+    """Solve the stacked systems [[block, 1], [1^T, 0]] x = rhs for the
+    right-hand side [0; 1], and [b_s; 0] as a second column if b_s (G, k)
+    is given: x is (G, k+1, 1 or 2).  The solution of a row whose system is
+    singular or solved inexactly (a residual above 1e-8) is NaN."""
     g, k = block.shape[0], block.shape[1]
     kkt = np.zeros((g, k + 1, k + 1))
     kkt[:, :k, :k] = block
     kkt[:, :k, k] = 1.0
     kkt[:, k, :k] = 1.0
-    rhs = np.zeros((g, k + 1))
-    rhs[:, :k] = top
-    rhs[:, k] = last
+    rhs = np.zeros((g, k + 1, 1 if b_s is None else 2))
+    rhs[:, k, 0] = 1.0
+    if b_s is not None:
+        rhs[:, :k, 1] = b_s
     try:
-        return np.linalg.solve(kkt, rhs[:, :, None])[:, :, 0]
+        x = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:  # one singular row fails the whole stack
-        x = np.full((g, k + 1), np.nan)
+        x = np.full(rhs.shape, np.nan)
         for i in range(g):
             with contextlib.suppress(np.linalg.LinAlgError):
                 x[i] = np.linalg.solve(kkt[i], rhs[i])
-        return x
+    with np.errstate(over="ignore", invalid="ignore"):
+        x[~(np.abs(kkt @ x - rhs).max(axis=(1, 2)) <= 1e-8)] = np.nan
+    return x
 
 
 def _residual(w, g):
@@ -300,17 +303,33 @@ def _finish(rows, d_rows, w_rows, res, failures, d, w, **internals) -> BatchComb
     return BatchCombined(d=d, w=w, errors=errors, **internals)
 
 
-def _min_norm_rows(gram, w):
-    """Wolfe's min-norm-point algorithm on each row's Gram matrix from the
-    start weights w, taken as given.  Each pass solves the affine minimizer
-    of the row's support in closed form.  If it has a negative weight, the
-    minor cycle moves toward it until the first weight reaches zero and
-    drops the zero weights; else it is the new iterate, and the gradient
-    with the most violated KKT condition joins the support.  A singular or
-    inexact KKT solve (an affinely dependent start support) restarts the
-    row at its least-norm vertex; a row that stalls or runs out of passes
-    keeps its last iterate.  Returns (w, gram @ w)."""
+def _active_set_rows(g_hat, w, b=None, r=None):
+    """Wolfe's active-set algorithm on each row's gradients g_hat (B, m, n)
+    from the start weights w, taken as given.  Over the simplex it minimizes
+    ||g_w||^2 (MGDA, b None) or the scaled CAGrad dual
+    f(w) = b.w + r*||g_w|| (b (B, m), r (B,)).
+
+    Each pass solves the face of each row's support S in closed form from
+    one KKT matrix [[G_S, 1], [1^T, 0]] of the Gram matrix G.  The
+    right-hand side [0; 1] gives the affine min-norm weights w_p, MGDA's
+    face minimizer, with p = ||g_(w_p)||.  CAGrad adds [b_S; 0], which
+    gives y and q^2 = y^T b_S.  As G_S w_p is a multiple of 1 and
+    1^T y = 0, ||g_w||^2 = p^2 + t^2*q^2 at w_p - t*y, so f's face minimizer
+    has t = p / sqrt(r^2 - q^2) if q^2 < r^2; otherwise f falls without
+    bound along -y.  A minimizer with a negative weight, or an unbounded
+    face, gets the minor cycle: a step toward the minimizer (or along -y)
+    until the first weight reaches zero, dropping the zero weights.  Else
+    the minimizer is the new iterate, and the coordinate with the most
+    violated optimality condition joins the support.  CAGrad's condition
+    is on the gains <g_i, g0 + e> of its candidate update: e = r*g_w /
+    ||g_w||, or -G_S^T y (the limit of the face's minimizers as p -> 0) at
+    the kink ||g_w|| <= DUAL_TOL.  A singular or inexact KKT solve (an
+    affinely dependent start support) restarts the row at its least-f
+    vertex; a row that stalls or runs out of passes keeps its last iterate.
+    Returns (w, G @ w)."""
     m = w.shape[1]
+    gram = g_hat @ np.swapaxes(g_hat, 1, 2)
+    cagrad = b is not None
     support = w > 1e-9
     w = np.where(support, w, 0.0)
     active = np.ones(w.shape[0], dtype=bool)
@@ -319,34 +338,56 @@ def _min_norm_rows(gram, w):
             break
         for k, grp, idx in _by_size(np.flatnonzero(active), support):
             block = _gather(gram[grp], idx)
-            sol = _solve_kkt(block, 0.0, 1.0)
-            w_s = sol[:, :k]
-            with np.errstate(invalid="ignore"):
-                err = np.hstack([_matvec(block, w_s) + sol[:, k:], w_s.sum(axis=1)[:, None] - 1.0])
-                bad = ~(np.abs(err).max(axis=1) <= 1e-8)
-            reset = grp[bad]  # restart at the least-norm vertex
-            w[reset] = np.eye(m)[np.argmin(np.diagonal(gram[reset], axis1=1, axis2=2), axis=1)]
-            support[reset] = w[reset] > 0.0
-            grp, idx, w_s = grp[~bad], idx[~bad], w_s[~bad]
-            neg = w_s < -1e-12
+            b_s = _rows_of(b[grp], idx) if cagrad else None
+            sol = _solve_kkt(block, b_s)
+            bad = np.isnan(sol).any(axis=(1, 2))
+            if bad.any():  # restart at the least-f vertex
+                reset = grp[bad]
+                f_vertex = np.diagonal(gram[reset], axis1=1, axis2=2)
+                if cagrad:
+                    f_vertex = b[reset] + r[reset, None] * np.sqrt(f_vertex)
+                w[reset] = np.eye(m)[np.argmin(f_vertex, axis=1)]
+                support[reset] = w[reset] > 0.0
+                grp, idx, sol = grp[~bad], idx[~bad], sol[~bad]
+                b_s = None if b_s is None else b_s[~bad]
+            x = _rows_of(w[grp], idx)
+            target = sol[:, :k, 0]
+            step, neg = target - x, target < -1e-12
+            if cagrad:
+                face = np.swapaxes(g_hat[grp[:, None], idx], 1, 2)  # (G, n, k)
+                y = sol[:, :k, 1]
+                g_p, g_y = _matvec(face, target), _matvec(face, y)
+                slack = (r[grp] ** 2 - _rowdot(y, b_s))[:, None]
+                with np.errstate(divide="ignore", invalid="ignore"):  # t is inf or NaN where unbounded
+                    t = np.sqrt(_rowdot(g_p, g_p))[:, None] / np.sqrt(slack)
+                    target = np.where(slack > 0.0, target - t * y, x)
+                step = np.where(slack > 0.0, target - x, -y)
+                neg = np.where(slack > 0.0, target < -1e-12, y > 0.0)
             minor = neg.any(axis=1)
             if minor.any():  # step toward the minimizer until a weight reaches zero
-                sel, x, v = grp[minor], _rows_of(w[grp[minor]], idx[minor]), w_s[minor]
-                ratio = np.where(neg[minor], x, np.inf) / np.where(neg[minor], x - v, 1.0)
-                x = x + ratio.min(axis=1)[:, None] * (v - x)
-                x[np.arange(sel.shape[0]), ratio.argmin(axis=1)] = 0.0
-                x = np.maximum(x, 0.0)
-                w[sel[:, None], idx[minor]] = x / x.sum(axis=1)[:, None]
-                support[sel[:, None], idx[minor]] = x > 0.0
-            grp, idx, w_s = grp[~minor], idx[~minor], w_s[~minor]
+                sel, xm, st, ng = grp[minor], x[minor], step[minor], neg[minor]
+                ratio = np.where(ng, xm, np.inf) / np.where(ng, -st, 1.0)
+                xm = xm + ratio.min(axis=1)[:, None] * st
+                xm[np.arange(sel.shape[0]), ratio.argmin(axis=1)] = 0.0
+                xm = np.maximum(xm, 0.0)
+                w[sel[:, None], idx[minor]] = xm / xm.sum(axis=1)[:, None]
+                support[sel[:, None], idx[minor]] = xm > 0.0
+            grp, idx, target = grp[~minor], idx[~minor], target[~minor]
             w_new = np.zeros((grp.shape[0], m))
-            w_new[np.arange(grp.shape[0])[:, None], idx] = np.maximum(w_s, 0.0)
+            w_new[np.arange(grp.shape[0])[:, None], idx] = np.maximum(target, 0.0)
             w_new /= w_new.sum(axis=1)[:, None]
-            inner = _matvec(gram[grp], w_new)  # <g_i, g_w>
             w[grp] = w_new
-            dd = _rowdot(w_new, inner)
-            j = np.argmin(inner, axis=1)
-            done = inner[np.arange(grp.shape[0]), j] >= dd - 1e-12 * (1.0 + dd)
+            if cagrad:  # f's (sub)gradient: the gains of the candidate update
+                g_w = _matvec(np.swapaxes(g_hat[grp], 1, 2), w_new)
+                nrm = np.sqrt(_rowdot(g_w, g_w))[:, None]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    e = np.where(nrm <= DUAL_TOL, -g_y[~minor], r[grp, None] * g_w / nrm)
+                grad = b[grp] + _matvec(g_hat[grp], e)
+            else:
+                grad = _matvec(gram[grp], w_new)  # <g_i, g_w>
+            wg = _rowdot(w_new, grad)
+            j = np.argmin(grad, axis=1)
+            done = grad[np.arange(grp.shape[0]), j] >= wg - 1e-12 * (1.0 + np.abs(wg))
             stalled = support[grp, j]
             active[grp[done | stalled]] = False
             grow = ~(done | stalled)
@@ -366,171 +407,12 @@ def solve_mgda_batch(grads, w0) -> BatchCombined:
     rows = np.flatnonzero(scale != 0.0)
     scale = scale[rows]
     g_hat = grads[rows] / scale[:, None, None]
-    gram = g_hat @ np.swapaxes(g_hat, 1, 2)
 
-    w, grad_w = _min_norm_rows(gram, _seeds(w0[rows], m))
+    w, grad_w = _active_set_rows(g_hat, _seeds(w0[rows], m))
     res = _residual(w, grad_w)
     failures = dict.fromkeys(np.flatnonzero(res > DUAL_TOL).tolist(), "MGDA dual did not converge")
     d = _matvec(np.swapaxes(g_hat, 1, 2), w) * scale[:, None]
     return _finish(rows, d, w, res, failures, np.zeros((n_rows, n)), np.full((n_rows, m), 1.0 / m))
-
-
-def _cagrad_terms(gram, b, sqrt_phi, w):
-    """The smoothed ||g_w||, gram @ w and the dual gradient at each row's w;
-    ||g_w|| is smoothed by SMOOTH_EPS."""
-    quad = ((w[:, None, :] @ gram) @ w[:, :, None])[:, 0, 0]
-    nrm = np.sqrt(np.where(0.0 > quad, 0.0, quad) + SMOOTH_EPS)
-    mw = _matvec(gram, w)
-    return nrm, mw, b + sqrt_phi[:, None] * mw / nrm[:, None]
-
-
-def _row_means(a):
-    """a.mean() of each row: the same sum and division, without np.mean's
-    Python-level overhead."""
-    return a.sum(axis=1) / a.shape[1]
-
-
-def _reduced_norm(gf):
-    rg = gf - _row_means(gf)[:, None]
-    return np.sqrt(_rowdot(rg, rg))
-
-
-def _newton_rows(gram, b, sqrt_phi, w):
-    """Active-set Newton minimization of each row's CAGrad dual from the
-    start weights w, taken as given.
-
-    Coordinates at zero are pinned; equality-constrained Newton steps (at
-    most 60, each with a backtracking line search) run on the free face, then
-    collapsed coordinates are pinned, or the pinned coordinate whose
-    multiplier is most negative is released, for at most 40 outer passes.
-    """
-    m = w.shape[1]
-    w = w.copy()
-    free = w > 1e-12
-    state = np.full(w.shape[0], _INNER)
-    n_inner = np.zeros(w.shape[0], dtype=int)
-    n_outer = np.zeros(w.shape[0], dtype=int)
-    # _cagrad_terms at each row's current w, kept from the line search
-    nrm_w, mw_w, grad_w = np.zeros(w.shape[0]), np.zeros_like(w), np.zeros_like(w)
-    current = np.zeros(w.shape[0], dtype=bool)
-
-    def refresh(grp):
-        grp = grp[~current[grp]]
-        if grp.size:
-            nrm_w[grp], mw_w[grp], grad_w[grp] = _cagrad_terms(gram[grp], b[grp], sqrt_phi[grp], w[grp])
-            current[grp] = True
-
-    def trial(data, p, t, f, rg_norm):
-        """The line search's test of the step w + t*p (on the free set) of
-        each row; ``data`` holds (free, w, gram, b, sqrt_phi) of the rows."""
-        free_r, w_r, gram_r, b_r, sp_r = data
-        w_new = np.where(free_r, np.maximum(w_r + t[:, None] * p, 0.0), w_r)
-        terms = _cagrad_terms(gram_r, b_r, sp_r, w_new)
-        f_new = _rowdot(w_new, b_r) + sp_r * terms[0]
-        ok = f_new < f - 1e-18
-        flat = ~ok & (f_new <= f + 1e-18)
-        if flat.any():  # objective change below fp noise: the reduced-gradient norm decides
-            for _, sel, idx in _by_size(np.flatnonzero(flat), free_r):
-                ok[sel] = _reduced_norm(_rows_of(terms[2][sel], idx)) < rg_norm[sel]
-        return ok, (w_new, *terms)
-
-    def newton_pass(grp):
-        """One pass of the inner loop for each row: a face Newton step and its line search."""
-        refresh(grp)
-        data = (free[grp], w[grp], gram[grp], b[grp], sqrt_phi[grp])
-        free_g, w_g, gram_g, _, sp_g = data
-        nrm, mw, g = nrm_w[grp], mw_w[grp], grad_w[grp]
-        nrm3 = np.array([v**3 for v in nrm.tolist()])  # Python's pow, as the closure
-        h = sp_g[:, None, None] * (
-            gram_g / nrm[:, None, None] - (mw[:, :, None] * mw[:, None, :]) / nrm3[:, None, None])
-        damp = 1e-13 * (1.0 + np.abs(h.trace(axis1=1, axis2=2)) / m)
-        p = np.zeros((grp.shape[0], m))
-        rg_norm = np.zeros(grp.shape[0])
-        step = np.zeros(grp.shape[0], dtype=bool)
-        for k, sel, idx in _by_size(np.arange(grp.shape[0]), free_g):
-            if k == 1:  # nothing to step on
-                continue
-            gf = _rows_of(g[sel], idx)
-            rn = _reduced_norm(gf)
-            go = ~(rn <= 1e-14 * (1.0 + np.abs(gf).max(axis=1)))
-            sel, idx, gf, rn = sel[go], idx[go], gf[go], rn[go]
-            block = _gather(h[sel], idx) + damp[sel, None, None] * np.eye(k)
-            sol = _solve_kkt(block, -gf, 0.0)
-            finite = np.isfinite(sol).all(axis=1)
-            pk = np.where(finite[:, None], sol[:, :k], 0.0)
-            go = finite & (np.sqrt(_rowdot(pk, pk)) > 1e-16)
-            sel, idx = sel[go], idx[go]
-            p[sel[:, None], idx] = pk[go]
-            rg_norm[sel] = rn[go]
-            step[sel] = True
-        neg = p < 0.0
-        ratio = np.full(p.shape, np.inf)
-        ratio[neg] = w_g[neg] / -p[neg]
-        t_max = np.where(neg.any(axis=1), ratio.min(axis=1), 1.0)
-        t = np.where(t_max < 1.0, t_max, 1.0)
-        step &= t > 0.0
-        state[grp[~step]] = _OUTER  # the loop's breaks
-        grp, nrm, p, t, rg_norm = grp[step], nrm[step], p[step], t[step], rg_norm[step]
-        data = tuple(a[step] for a in data)
-        _, w_g, _, b_g, sp_g = data
-        f = _rowdot(w_g, b_g) + sp_g * nrm
-        # the first accepted of t, t/2, ..., t/2**39: the full step for every
-        # row, then the 39 halvings at once for the rows that reject it
-        ok, new = trial(data, p, t, f, rg_norm)
-        rest = np.flatnonzero(~ok)
-        if rest.size:
-            halved = np.hstack([t[rest, None], np.full((rest.size, 39), 0.5)])
-            halved = np.multiply.accumulate(halved, axis=1)[:, 1:].reshape(-1)  # t *= 0.5, repeated
-            data_h = tuple(np.repeat(a[rest], 39, axis=0) for a in data)
-            p_h, f_h, rg_h = (np.repeat(a[rest], 39, axis=0) for a in (p, f, rg_norm))
-            ok_h, new_h = trial(data_h, p_h, halved, f_h, rg_h)
-            ok_h = ok_h.reshape(rest.size, 39)
-            first = np.arange(rest.size) * 39 + np.argmax(ok_h, axis=1)
-            ok[rest] = ok_h.any(axis=1)
-            for a, a_h in zip(new, new_h):
-                a[rest] = a_h[first]
-        moved = grp[ok]
-        w[moved], nrm_w[moved], mw_w[moved], grad_w[moved] = (a[ok] for a in new)
-        current[moved] = True
-        n_inner[moved] += 1
-        state[grp[~ok | (n_inner[grp] == 60)]] = _OUTER
-
-    def pin_or_release(grp):
-        """The end of an outer iteration: pin collapsed coordinates, or
-        release the pinned coordinate whose multiplier is most negative."""
-        new_free = free[grp] & (w[grp] > 1e-15)
-        n_new = new_free.sum(axis=1)
-        shrink = (n_new > 0) & (n_new < free[grp].sum(axis=1))
-        moved = grp[shrink]
-        scaled = np.where(new_free[shrink], w[moved], 0.0)
-        w[moved] = scaled / scaled.sum(axis=1)[:, None]
-        free[moved] = new_free[shrink]
-        current[moved] = False
-        grp = grp[~shrink]
-        refresh(grp)
-        g = grad_w[grp]
-        nu = np.zeros(grp.shape[0])
-        for _, sel, idx in _by_size(np.arange(grp.shape[0]), free[grp]):
-            nu[sel] = _row_means(_rows_of(g[sel], idx))
-        j = np.argmin(np.where(free[grp], np.inf, g), axis=1)
-        g_j = g[np.arange(grp.shape[0]), j]
-        release = ~free[grp].all(axis=1) & ~(g_j >= nu - 1e-12 * (1.0 + np.abs(nu)))
-        state[grp[~release]] = _DONE
-        free[grp[release], j[release]] = True
-        moved = np.concatenate([moved, grp[release]])
-        n_outer[moved] += 1
-        n_inner[moved] = 0
-        state[moved] = np.where(n_outer[moved] == 40, _DONE, _INNER)
-
-    while True:
-        inner = np.flatnonzero(state == _INNER)
-        if inner.size == 0:
-            break
-        newton_pass(inner)
-        outer = np.flatnonzero(state == _OUTER)
-        if outer.size:
-            pin_or_release(outer)
-    return w
 
 
 def _nullspace(rows: np.ndarray, dim: int) -> np.ndarray:
@@ -542,18 +424,16 @@ def _nullspace(rows: np.ndarray, dim: int) -> np.ndarray:
     return vt[rank:].T
 
 
-def _unstall(g_hat, g0, sqrt_phi, gram, b, w, start):
-    """CAGrad rows that Newton leaves above DUAL_TOL, from their iterates w.
-    Where a row's min-norm point (Wolfe's algorithm from w) is 0, at the
-    kink g_w = 0, no d gains on every gradient, and the tie step's d is
-    optimal if it lies in the ball with no gain below -DUAL_TOL: d projects
-    g0 onto the complement of the gradients that tie at gain 0, those of
-    the zero combination (weight above DUAL_TOL), then one by one the one
-    of least gain while that gain is below -DUAL_TOL.  Elsewhere the
-    optimum is off the kink, and Newton runs once more from ``start``.
-    Returns (w, d, res, kink), with d NaN where the tie step fails and res
-    0 where it does not."""
-    w_z, grad_z = _min_norm_rows(gram, w)
+def _tie_step(g_hat, g0, r, w):
+    """The tie step of CAGrad rows that end at the dual's kink, from their
+    iterates w.  Where a row's min-norm point (Wolfe's algorithm from w) is
+    0, at the kink g_w = 0, no d gains on every gradient, and the tie
+    step's d is optimal if it lies in the ball with no gain below
+    -DUAL_TOL: d projects g0 onto the complement of the gradients that tie
+    at gain 0, those of the zero combination (weight above DUAL_TOL), then
+    one by one the one of least gain while that gain is below -DUAL_TOL.
+    Returns (w, d, kink), with d NaN where the tie step fails."""
+    w_z, grad_z = _active_set_rows(g_hat, w)
     kink = _rowdot(w_z, grad_z) <= DUAL_TOL**2
     d = np.full(g0.shape, np.nan)
     for i in np.flatnonzero(kink):
@@ -566,23 +446,21 @@ def _unstall(g_hat, g0, sqrt_phi, gram, b, w, start):
             if tie[j] or gain[j] >= -DUAL_TOL:
                 break
             tie[j] = True
-        if gain[j] >= -DUAL_TOL and np.linalg.norm(d_i - g0[i]) <= sqrt_phi[i] * (1.0 + DUAL_TOL):
+        if gain[j] >= -DUAL_TOL and np.linalg.norm(d_i - g0[i]) <= r[i] * (1.0 + DUAL_TOL):
             d[i] = d_i
-    redo = ~np.isfinite(d).all(axis=1)
-    w, res = w_z, np.zeros(w.shape[0])
-    w[redo] = _newton_rows(gram[redo], b[redo], sqrt_phi[redo], start[redo])
-    res[redo] = _residual(w[redo], _cagrad_terms(gram[redo], b[redo], sqrt_phi[redo], w[redo])[2])
-    return w, d, res, kink
+    return w_z, d, kink
 
 
 def solve_cagrad_batch(grads, cfg: CagradConfig, w0) -> BatchCombined:
     """The CAGrad update of each row of a (B, m, n) gradient stack.
 
     ``w0`` (B, m) warm-starts each row; a row with a NaN or infinite entry
-    starts cold.  Closed forms: a zero-radius ball (c = 0, or a scaled mean
-    that rounds to zero) gives d = g0 with all weight on the gradient of
-    least gain along g0; ||g0|| = 0 gives d = 0 without weights; g_w* = 0
-    gives d = g0.
+    starts cold.  The engine minimizes the scaled dual b.w + r*||g_w|| with
+    b = G g0 and r = c*||g0|| exactly, and d = g0 + r*g_w / ||g_w||.
+    Closed forms: a zero-radius ball (c = 0, or a scaled mean that rounds
+    to zero) gives d = g0 with all weight on the gradient of least gain
+    along g0; ||g0|| = 0 gives d = 0 without weights; g_w* = 0 gives the
+    tie step's d.
     """
     grads, w0 = _check_batch(grads, w0)
     n_rows, m, n = grads.shape
@@ -598,29 +476,31 @@ def solve_cagrad_batch(grads, cfg: CagradConfig, w0) -> BatchCombined:
     scale = np.max(np.linalg.norm(grads[rows], axis=2), axis=1, initial=0.0)
     g_hat = grads[rows] / scale[:, None, None]
     g0 = g_hat.mean(axis=1)
-    sqrt_phi = cfg.c * np.sqrt(_rowdot(g0, g0))
-    keep = sqrt_phi != 0.0  # else the scaled ball has radius zero
-    rows, scale, g_hat, g0, sqrt_phi = rows[keep], scale[keep], g_hat[keep], g0[keep], sqrt_phi[keep]
-    gram = g_hat @ np.swapaxes(g_hat, 1, 2)
+    r = cfg.c * np.sqrt(_rowdot(g0, g0))
+    keep = r != 0.0  # else the scaled ball has radius zero
+    rows, scale, g_hat, g0, r = rows[keep], scale[keep], g_hat[keep], g0[keep], r[keep]
     b = _matvec(g_hat, g0)
 
-    w = _newton_rows(gram, b, sqrt_phi, _project_rows(_seeds(w0[rows], m)))
-    res = _residual(w, _cagrad_terms(gram, b, sqrt_phi, w)[2])
+    w = _active_set_rows(g_hat, _seeds(w0[rows], m), b, r)[0]
     d_tie, kink = np.full(g0.shape, np.nan), np.zeros(rows.size, dtype=bool)
-    stalled = np.flatnonzero(res > DUAL_TOL)
-    if stalled.size:  # a restart starts at the vertex of least gain along g0
-        args = (a[stalled] for a in (g_hat, g0, sqrt_phi, gram, b, w, w_ball[rows]))
-        w[stalled], d_tie[stalled], res[stalled], kink[stalled] = _unstall(*args)
-    failures = {i: "CAGrad dual stalled at the g_w = 0 kink" if kink[i] else "CAGrad dual did not converge"
-                for i in np.flatnonzero(res > DUAL_TOL).tolist()}
     g_w = _matvec(np.swapaxes(g_hat, 1, 2), w)
     g_w_norm = np.sqrt(_rowdot(g_w, g_w))
-    lam[rows] = g_w_norm / sqrt_phi  # ||g_w|| / sqrt(phi), scale-invariant
-    g_w_sq = np.array([v**2 for v in g_w_norm.tolist()])  # Python's pow
-    # smoothed norm keeps the step inside the ball by construction
-    d_hat = np.where((g_w_norm == 0.0)[:, None], g0,
-                     g0 + sqrt_phi[:, None] * g_w / np.sqrt(g_w_sq + SMOOTH_EPS)[:, None])
-    d_hat = np.where(np.isnan(d_tie), d_hat, d_tie)
+    tie = np.flatnonzero(g_w_norm <= DUAL_TOL)
+    if tie.size:
+        w[tie], d_tie[tie], kink[tie] = _tie_step(g_hat[tie], g0[tie], r[tie], w[tie])
+        redo = tie[np.isnan(d_tie[tie]).any(axis=1)]  # the vertex of least gain along g0
+        w[redo] = _active_set_rows(g_hat[redo], w_ball[rows[redo]], b[redo], r[redo])[0]
+        g_w = _matvec(np.swapaxes(g_hat, 1, 2), w)
+        g_w_norm = np.sqrt(_rowdot(g_w, g_w))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = _residual(w, b + r[:, None] * _matvec(g_hat, g_w) / g_w_norm[:, None])
+        d_hat = g0 + r[:, None] * g_w / g_w_norm[:, None]
+    tied = np.isfinite(d_tie).all(axis=1)
+    res = np.where(tied, 0.0, np.where(np.isnan(res), np.inf, res))
+    d_hat[tied] = d_tie[tied]
+    failures = {i: "CAGrad dual stalled at the g_w = 0 kink" if kink[i] else "CAGrad dual did not converge"
+                for i in np.flatnonzero(res > DUAL_TOL).tolist()}
+    lam[rows] = g_w_norm / r  # ||g_w|| / sqrt(phi), scale-invariant
     return _finish(rows, d_hat * scale[:, None], w, res, failures, d_ball, w_ball, lambda_star=lam)
 
 

@@ -141,7 +141,8 @@ def check_designs(designs, space: DesignSpace) -> np.ndarray:
         unit = "tokens" if space.is_discrete else "coordinates"
         raise ValueError(f"designs have shape {designs.shape}, the space expects (N, {space.raw_dim}) raw {unit}")
     if space.is_discrete:
-        if not np.all(np.isfinite(designs) & (designs == np.floor(designs))):
+        integer = np.issubdtype(designs.dtype, np.integer)
+        if not (integer or np.all(np.isfinite(designs) & (designs == np.floor(designs)))):
             raise ValueError("discrete designs must be integer tokens; harden relaxed designs first")
         designs = designs.astype(np.int64)
         if designs.size and (designs.min() < 0 or designs.max() >= space.vocab):
@@ -323,7 +324,10 @@ def read_metadata(meta_path) -> dict:
 def read_dataset_csv(csv_path) -> tuple[Dataset, dict]:
     """Parse a dataset CSV with its sidecar metadata ``<stem>.meta.json``.
 
-    Malformed rows raise with the 1-based data row number.
+    Malformed rows raise with the 1-based data row number.  A non-finite
+    value raises naming the file, its row and its column, and so does a
+    column whose sum of squares overflows float64 (training and the
+    normalization statistics square these values).
     """
     csv_path = Path(csv_path)
     meta = read_metadata(metadata_path(csv_path))
@@ -367,6 +371,17 @@ def read_dataset_csv(csv_path) -> tuple[Dataset, dict]:
     arr = np.asarray(designs, dtype=np.int64 if space.is_discrete else np.float64)
     if arr.size == 0:
         raise ValueError("dataset is empty")
+    values = np.column_stack([scores] if space.is_discrete else [arr, scores])
+    names = expected[-1:] if space.is_discrete else expected
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{csv_path}: row {i + 1}, column {names[j]}: non-finite value {float(values[i, j])!r}")
+    with np.errstate(over="ignore"):
+        overflow = ~np.isfinite(np.square(values).sum(axis=0))
+    if overflow.any():
+        raise ValueError(f"{csv_path}: column {names[int(np.argmax(overflow))]}: "
+                         "values too large, their squares overflow float64")
     if not space.is_discrete:
         mean, std = stats_from_designs(arr)
         space = space.with_stats(mean, std)

@@ -175,8 +175,8 @@ def reference_train_arrays(X, y, cfg, X_val=None, y_val=None) -> MlpModel:
                 if cfg.weight_decay:
                     for gw, w in zip(grads_w, model.weights):
                         gw += cfg.weight_decay * w
-            t += 1
-            _reference_adam_step(params, grads_w + grads_b, m_state, v_state, t, cfg.learning_rate)
+                t += 1
+                _reference_adam_step(params, grads_w + grads_b, m_state, v_state, t, cfg.learning_rate)
             for p in params:
                 if not np.all(np.isfinite(p)):
                     raise FloatingPointError(f"non-finite weights after epoch {epoch} update")

@@ -538,6 +538,29 @@ def test_cagrad_rank_deficient_stacks_match_primal_reference(g, c):
     assert np.linalg.norm(d - gs.mean_grad) <= c * np.linalg.norm(gs.mean_grad) * (1.0 + 1e-6)
 
 
+def sweep_stack(s):
+    """Stack s of the rank-deficient sweep: m, n and the rank drawn in that
+    order from default_rng(s), then rank_deficient_stack(m, n, rank, s)."""
+    rng = np.random.default_rng(s)
+    m = int(rng.integers(2, 9))
+    n = int(rng.integers(2, 11))
+    return rank_deficient_stack(m, n, int(rng.integers(1, min(m, n))), s)
+
+
+@pytest.mark.parametrize("s, c", [(709, 0.5), (1407, 0.5), (1397, 0.9), (102, 0.5), (2174, 0.9)])
+def test_cagrad_sweep_stack_is_exact(s, c):
+    # 709, 1407 and 2174 end at the g_w = 0 kink of the dual.  The optima of
+    # 1397 and 102 lie off the kink, beside a negated pair whose min-norm point
+    # is 0; from that pair's kink, 102 needs the face's limit subgradient.
+    g = sweep_stack(s)
+    gs = gset(g)
+    d = solve_cagrad_dual(gs, CagradConfig(c)).d
+    ref = solve_cagrad_primal_reference(gs, CagradConfig(c)).d
+    max_sq = float(np.max(np.sum(g * g, axis=1)))
+    assert abs(improvement_rate(gs, d) - improvement_rate(gs, ref)) <= 1e-12 * max_sq
+    assert np.linalg.norm(d - gs.mean_grad) <= c * np.linalg.norm(gs.mean_grad) * (1.0 + 1e-6)
+
+
 # Six gradients in 4 dims and two warm starts, from the 5 MGDA solves of
 # `ensmbo run --task bowl --seed 0 --run-seeds 2` on which an active set that
 # drops the most negative weight of the face's minimizer cycles.
@@ -563,7 +586,7 @@ def test_mgda_active_set_core_does_not_cycle(w0):
 
     g = np.array(BOWL_CYCLE_GRADS)
     g_hat = g / np.max(np.linalg.norm(g, axis=1))
-    w, grad_w = combine._min_norm_rows((g_hat @ g_hat.T)[None], combine._seeds(np.array([w0]), 6))
+    w, grad_w = combine._active_set_rows(g_hat[None], combine._seeds(np.array([w0]), 6))
     assert combine._residual(w, grad_w)[0] <= combine.DUAL_TOL
     d = solve_mgda_dual(gset(g), w0=np.array(w0)).d
     ref = solve_mgda_primal_reference(gset(g)).d

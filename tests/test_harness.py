@@ -564,6 +564,43 @@ def test_small_csv_names_rows_and_batch_size(tmp_path, capsys):
     assert "train.batch_size" in err and "--config" in err
 
 
+def _edit_csv(path, edit):
+    """Apply edit(data_rows, header) to the string cells of a dataset CSV."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    edit(rows, header)
+    path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n", encoding="utf-8")
+
+
+def _set_cell(row, column, value):
+    def edit(rows, header):
+        rows[row - 1][header.index(column)] = value
+    return edit
+
+
+def _scale_column(column, factor):
+    def edit(rows, header):
+        j = header.index(column)
+        for r in rows:
+            r[j] = repr(float(r[j]) * factor)
+    return edit
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (_set_cell(42, "y", "nan"), "row 42, column y: non-finite value nan"),
+    (_set_cell(100, "x_3", "inf"), "row 100, column x_3: non-finite value inf"),
+    (_scale_column("y", 1e300), "column y: values too large, their squares overflow float64"),
+    (_scale_column("x_1", 1e200), "column x_1: values too large, their squares overflow float64"),
+], ids=["nan-score", "inf-coordinate", "huge-scores", "huge-coordinates"])
+def test_bad_csv_value_is_named_before_training(edit, fault, tmp_path, capsys, no_training):
+    csv_path = _csv_task(tmp_path / "bad.csv", np.linspace(-1.0, 1.0, 2000))
+    _edit_csv(csv_path, edit)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--task", str(csv_path), "--steps", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {csv_path}: {fault}\n")
+    assert not out.exists()
+
+
 def test_ascent_failure_names_task_and_run_seed(tmp_path, capsys, monkeypatch):
     import ensmbo.combine as combine
 
