@@ -14,7 +14,7 @@ MGDA and CAGrad are solved through their simplex-constrained duals
 (m decision variables) by one finite active-set engine that solves a
 stack of gradient sets in lockstep: Wolfe's major and minor cycles, whose
 face solves give MGDA's minimizer and, with one more right-hand side,
-CAGrad's in closed form, with an exact tie step at CAGrad's kink g_w = 0.
+CAGrad's in closed form, at CAGrad's kink g_w = 0 included.
 The per-point solvers are its one-row case.
 Low-dimensional primal reference solvers maximize over d directly and
 serve as independent oracles in the test suite.
@@ -176,10 +176,9 @@ def _project_rows(v):
 # KKT matrices for one stacked LAPACK solve, and every other operation is
 # one dot product or gemv per row, so a row's result does not depend on the
 # other rows.  A CAGrad row that ends at the dual's kink g_w = 0 takes the
-# exact tie step (``_tie_step``) or, where that fails, restarts once at the
-# vertex of least gain along g0; a row still above DUAL_TOL is a
-# SolverError.  ``solve_mgda_dual`` and ``solve_cagrad_dual`` are the
-# one-row case.
+# face's limit update, which the engine records; a row whose residual is
+# above DUAL_TOL is a SolverError.  ``solve_mgda_dual`` and
+# ``solve_cagrad_dual`` are the one-row case.
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,16 +325,20 @@ def _active_set_rows(g_hat, w, b=None, r=None):
     the kink ||g_w|| <= DUAL_TOL.  A singular or inexact KKT solve (an
     affinely dependent start support) restarts the row at its least-f
     vertex; a row that stalls or runs out of passes keeps its last iterate.
-    Returns (w, G @ w)."""
+    Returns (w, G @ w) for MGDA.  CAGrad returns (w, e) instead, with e
+    the limit update -G_S^T y of each row whose last face solve ended at
+    the kink, and NaN in the other rows."""
     m = w.shape[1]
     gram = g_hat @ np.swapaxes(g_hat, 1, 2)
     cagrad = b is not None
     support = w > 1e-9
     w = np.where(support, w, 0.0)
     active = np.ones(w.shape[0], dtype=bool)
+    e_kink = np.full((w.shape[0], g_hat.shape[2]), np.nan)
     for _ in range(4 * m + 8):
         if not active.any():
             break
+        e_kink[active] = np.nan  # recorded anew each pass: none after a restart or minor step
         for k, grp, idx in _by_size(np.flatnonzero(active), support):
             block = _gather(gram[grp], idx)
             b_s = _rows_of(b[grp], idx) if cagrad else None
@@ -382,6 +385,7 @@ def _active_set_rows(g_hat, w, b=None, r=None):
                 nrm = np.sqrt(_rowdot(g_w, g_w))[:, None]
                 with np.errstate(divide="ignore", invalid="ignore"):
                     e = np.where(nrm <= DUAL_TOL, -g_y[~minor], r[grp, None] * g_w / nrm)
+                e_kink[grp] = np.where(nrm <= DUAL_TOL, e, np.nan)
                 grad = b[grp] + _matvec(g_hat[grp], e)
             else:
                 grad = _matvec(gram[grp], w_new)  # <g_i, g_w>
@@ -392,7 +396,7 @@ def _active_set_rows(g_hat, w, b=None, r=None):
             active[grp[done | stalled]] = False
             grow = ~(done | stalled)
             support[grp[grow], j[grow]] = True
-    return w, _matvec(gram, w)
+    return (w, e_kink) if cagrad else (w, _matvec(gram, w))
 
 
 def solve_mgda_batch(grads, w0) -> BatchCombined:
@@ -415,52 +419,18 @@ def solve_mgda_batch(grads, w0) -> BatchCombined:
     return _finish(rows, d, w, res, failures, np.zeros((n_rows, n)), np.full((n_rows, m), 1.0 / m))
 
 
-def _nullspace(rows: np.ndarray, dim: int) -> np.ndarray:
-    if rows.shape[0] == 0:
-        return np.eye(dim)
-    _, s, vt = np.linalg.svd(rows, full_matrices=True)
-    cutoff = max(rows.shape) * np.finfo(np.float64).eps * s[0]
-    rank = int(np.sum(s > cutoff))
-    return vt[rank:].T
-
-
-def _tie_step(g_hat, g0, r, w):
-    """The tie step of CAGrad rows that end at the dual's kink, from their
-    iterates w.  Where a row's min-norm point (Wolfe's algorithm from w) is
-    0, at the kink g_w = 0, no d gains on every gradient, and the tie
-    step's d is optimal if it lies in the ball with no gain below
-    -DUAL_TOL: d projects g0 onto the complement of the gradients that tie
-    at gain 0, those of the zero combination (weight above DUAL_TOL), then
-    one by one the one of least gain while that gain is below -DUAL_TOL.
-    Returns (w, d, kink), with d NaN where the tie step fails."""
-    w_z, grad_z = _active_set_rows(g_hat, w)
-    kink = _rowdot(w_z, grad_z) <= DUAL_TOL**2
-    d = np.full(g0.shape, np.nan)
-    for i in np.flatnonzero(kink):
-        tie = w_z[i] > DUAL_TOL
-        for _ in range(tie.size):
-            basis = _nullspace(g_hat[i, tie], g0.shape[1])
-            d_i = basis @ (basis.T @ g0[i])
-            gain = g_hat[i] @ d_i
-            j = int(np.argmin(gain))
-            if tie[j] or gain[j] >= -DUAL_TOL:
-                break
-            tie[j] = True
-        if gain[j] >= -DUAL_TOL and np.linalg.norm(d_i - g0[i]) <= r[i] * (1.0 + DUAL_TOL):
-            d[i] = d_i
-    return w_z, d, kink
-
-
 def solve_cagrad_batch(grads, cfg: CagradConfig, w0) -> BatchCombined:
     """The CAGrad update of each row of a (B, m, n) gradient stack.
 
     ``w0`` (B, m) warm-starts each row; a row with a NaN or infinite entry
     starts cold.  The engine minimizes the scaled dual b.w + r*||g_w|| with
-    b = G g0 and r = c*||g0|| exactly, and d = g0 + r*g_w / ||g_w||.
-    Closed forms: a zero-radius ball (c = 0, or a scaled mean that rounds
-    to zero) gives d = g0 with all weight on the gradient of least gain
-    along g0; ||g0|| = 0 gives d = 0 without weights; g_w* = 0 gives the
-    tie step's d.
+    b = G g0 and r = c*||g0|| exactly, and d = g0 + e with the update
+    e = r*g_w / ||g_w||, or at the kink ||g_w|| <= DUAL_TOL the engine's
+    limit update -G_S^T y: g0 projected off the span of the support's
+    gradients, whose gains it makes 0.  Closed forms: a zero-radius ball
+    (c = 0, or a scaled mean that rounds to zero) gives d = g0 with all
+    weight on the gradient of least gain along g0; ||g0|| = 0 gives d = 0
+    without weights.
     """
     grads, w0 = _check_batch(grads, w0)
     n_rows, m, n = grads.shape
@@ -481,27 +451,18 @@ def solve_cagrad_batch(grads, cfg: CagradConfig, w0) -> BatchCombined:
     rows, scale, g_hat, g0, r = rows[keep], scale[keep], g_hat[keep], g0[keep], r[keep]
     b = _matvec(g_hat, g0)
 
-    w = _active_set_rows(g_hat, _seeds(w0[rows], m), b, r)[0]
-    d_tie, kink = np.full(g0.shape, np.nan), np.zeros(rows.size, dtype=bool)
+    w, e_kink = _active_set_rows(g_hat, _seeds(w0[rows], m), b, r)
     g_w = _matvec(np.swapaxes(g_hat, 1, 2), w)
     g_w_norm = np.sqrt(_rowdot(g_w, g_w))
-    tie = np.flatnonzero(g_w_norm <= DUAL_TOL)
-    if tie.size:
-        w[tie], d_tie[tie], kink[tie] = _tie_step(g_hat[tie], g0[tie], r[tie], w[tie])
-        redo = tie[np.isnan(d_tie[tie]).any(axis=1)]  # the vertex of least gain along g0
-        w[redo] = _active_set_rows(g_hat[redo], w_ball[rows[redo]], b[redo], r[redo])[0]
-        g_w = _matvec(np.swapaxes(g_hat, 1, 2), w)
-        g_w_norm = np.sqrt(_rowdot(g_w, g_w))
+    kink = g_w_norm <= DUAL_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
-        res = _residual(w, b + r[:, None] * _matvec(g_hat, g_w) / g_w_norm[:, None])
-        d_hat = g0 + r[:, None] * g_w / g_w_norm[:, None]
-    tied = np.isfinite(d_tie).all(axis=1)
-    res = np.where(tied, 0.0, np.where(np.isnan(res), np.inf, res))
-    d_hat[tied] = d_tie[tied]
+        e = np.where(kink[:, None], e_kink, r[:, None] * g_w / g_w_norm[:, None])
+        res = _residual(w, b + _matvec(g_hat, e))
+    res = np.where(np.isnan(res), np.inf, res)
     failures = {i: "CAGrad dual stalled at the g_w = 0 kink" if kink[i] else "CAGrad dual did not converge"
                 for i in np.flatnonzero(res > DUAL_TOL).tolist()}
     lam[rows] = g_w_norm / r  # ||g_w|| / sqrt(phi), scale-invariant
-    return _finish(rows, d_hat * scale[:, None], w, res, failures, d_ball, w_ball, lambda_star=lam)
+    return _finish(rows, (g0 + e) * scale[:, None], w, res, failures, d_ball, w_ball, lambda_star=lam)
 
 
 def _one_row(batch_solve, gs: GradientSet, w0, cfg: CagradConfig | None = None) -> CombinedGradient:
@@ -547,6 +508,15 @@ def solve_cagrad_dual(gs: GradientSet, cfg: CagradConfig, w0: np.ndarray | None 
 # the (now smooth) objective in closed form yields an exact optimum for
 # the small m used in tests; every candidate is evaluated with the true
 # objective so the best one is the global maximizer.
+
+def _nullspace(rows: np.ndarray, dim: int) -> np.ndarray:
+    if rows.shape[0] == 0:
+        return np.eye(dim)
+    _, s, vt = np.linalg.svd(rows, full_matrices=True)
+    cutoff = max(rows.shape) * np.finfo(np.float64).eps * s[0]
+    rank = int(np.sum(s > cutoff))
+    return vt[rank:].T
+
 
 def _tie_subspaces(gs: GradientSet):
     """(anchor, basis) for every candidate active set of gs, lazily: its

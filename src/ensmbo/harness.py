@@ -92,6 +92,14 @@ class ExperimentConfig:
             raise ValueError("need at least one algorithm")
         if self.n_candidates < 1:
             raise ValueError("n_candidates must be positive")
+        for name, flag, values in (("algorithms", "--combiner", self.algorithms),
+                                   ("run_seeds", "--run-seeds", self.run_seeds)):
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:
+                raise ValueError(f"{name} ({flag}) repeats {repeats[0]!r}; give each once")
+        if self.train.seed != TrainConfig.seed:
+            raise ValueError(f"train.seed {self.train.seed} is not used: the run seeds "
+                             "(--run-seeds, default the task seed) seed the proxies")
 
     def resolved_seeds(self) -> tuple:
         return tuple(self.run_seeds) if self.run_seeds else (self.task_seed,)

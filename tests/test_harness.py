@@ -400,6 +400,27 @@ def test_bad_ascent_setting_is_refused_before_training(argv, error, tmp_path, ca
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--combiner", "mean,mgda,mean"], "algorithms (--combiner) repeats 'mean'; give each once"),
+    (["--run-seeds", "1,2,1"], "run_seeds (--run-seeds) repeats 1; give each once"),
+])
+def test_repeated_algorithm_or_run_seed_is_refused_before_training(argv, error, tmp_path, capsys,
+                                                                   no_training):
+    assert cli_main(["run", "--task", "bowl", "--out", str(tmp_path)] + argv) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_train_seed_is_refused_before_training(tmp_path, capsys, no_training):
+    # the run seeds seed the proxies; a train.seed would be recorded but unused
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"task": "bowl", "train": {"seed": 7}}))
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", "error: train.seed 7 is not used: the run seeds "
+                                       "(--run-seeds, default the task seed) seed the proxies\n")
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_cli_bad_n_trajectories_names_the_flag(value, tmp_path, capsys, no_training):
     assert cli_main(["tune", "--task", "bowl", "--n-trajectories", value, "--out", str(tmp_path)]) == 2
