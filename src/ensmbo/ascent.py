@@ -99,14 +99,6 @@ class _ModelBank:
         return (vals[0], grads[0]) if x.ndim == 1 else (vals, grads)
 
 
-class _StepFailure(Exception):
-    """The lowest-index row that failed at the first failing step."""
-
-    def __init__(self, row: int, step: int, cause: Exception):
-        super().__init__(f"row {row} failed at step {step}: {cause}")
-        self.row, self.step, self.cause = row, step, cause
-
-
 def _ascend_rows(X: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentConfig) -> list[Trajectory]:
     """The update loop over the rows of X (B, n), in the optimization
     representation, all rows in lockstep.
@@ -114,8 +106,9 @@ def _ascend_rows(X: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentCo
     Each step evaluates every member at every row at once and combines each
     row's gradients with the per-point combiner's arithmetic, warm-starting
     MGDA and CAGrad from the row's weights of the step before.  An
-    unrecorded single-model run evaluates member 0 alone.  Raises
-    _StepFailure for the first failing step.
+    unrecorded single-model run evaluates member 0 alone.  The first failing
+    step raises RuntimeError naming its lowest failing row, the step and the
+    combiner, chained to the row's cause.
     """
     record = cfg.record_trajectory
     only_first = cfg.combiner is Combiner.SINGLE and not record
@@ -159,7 +152,8 @@ def _ascend_rows(X: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentCo
                 failed.setdefault(int(i), FloatingPointError("non-finite iterate"))
         if failed:
             row = min(failed)
-            raise _StepFailure(row, k, failed[row])
+            cause = failed[row]
+            raise RuntimeError(f"trajectory {row} failed at step {k} ({cfg.combiner.value}): {cause}") from cause
         if record:
             xs.append(X.copy())
             preds.append(vals)
@@ -178,49 +172,38 @@ def _ascend_rows(X: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentCo
     return out
 
 
-def _check_input_dim(space: DesignSpace, ens: Ensemble) -> None:
-    if ens.input_dim != space.flat_dim:
-        raise ValueError("ensemble input_dim does not match the space")
-
-
 def ascend(start: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentConfig) -> Trajectory:
     """Run the update loop from one raw starting design: ``ascend_batch`` of
-    one.  A start that ``core.check_designs`` refuses raises its ValueError.
+    one, with its errors.
 
     The single-model combiner uses ensemble member 0.  A recorded run
     still evaluates every member, records all their predictions for tuning
     plots and fails on any member's non-finite output; without recording
     only member 0 is evaluated, so only member 0 can fail a ``single`` row.
     """
-    _check_input_dim(space, ens)
-    try:
-        return _ascend_rows(encode([start], space), space, ens, cfg)[0]
-    except _StepFailure as f:
-        if isinstance(f.cause, FloatingPointError):
-            raise FloatingPointError(f"{f.cause} at step {f.step}") from f.cause
-        raise f.cause
+    return ascend_batch([start], space, ens, cfg)[0]
 
 
 def ascend_batch(starts, space: DesignSpace, ens: Ensemble, cfg: AscentConfig) -> list[Trajectory]:
     """Independent trajectories from many raw starts, advanced in lockstep;
-    order preserved, and each equal to its own ``ascend``.  A start that
-    ``core.check_designs`` refuses raises RuntimeError naming its index."""
+    order preserved, and each equal to its own ``ascend``.  Every failure
+    raises RuntimeError chained to its cause: "trajectory i failed: ..." for
+    a start that ``core.check_designs`` refuses or an ensemble whose input
+    dimension does not match the space (i = 0), and "trajectory i failed at
+    step k (combiner): ..." for the lowest failing row of the first failing
+    step.  An empty list of starts raises ValueError."""
     starts = list(starts)
     if not starts:
         raise ValueError("no starting designs")
     rows = []
     for i, start in enumerate(starts):
         try:
-            _check_input_dim(space, ens)  # fails at i = 0, before any start is read
+            if ens.input_dim != space.flat_dim:  # fails at i = 0, before any start is read
+                raise ValueError("ensemble input_dim does not match the space")
             rows.append(encode([start], space)[0])
         except ValueError as exc:
             raise RuntimeError(f"trajectory {i} failed: {exc}") from exc
-    try:
-        return _ascend_rows(np.array(rows), space, ens, cfg)
-    except _StepFailure as f:
-        raise RuntimeError(
-            f"trajectory {f.row} failed at step {f.step} ({cfg.combiner.value}): {f.cause}"
-        ) from f.cause
+    return _ascend_rows(np.array(rows), space, ens, cfg)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

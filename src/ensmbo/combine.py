@@ -94,17 +94,10 @@ class SimplexWeights:
         object.__setattr__(self, "w", w)
 
 
-@dataclass(frozen=True)
-class CagradInternals:
-    phi: float
-    lambda_star: float
-
-
 @dataclass(frozen=True, eq=False)
 class CombinedGradient:
     d: np.ndarray
     weights: SimplexWeights | None = None
-    cagrad: CagradInternals | None = None
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=np.float64)
@@ -186,15 +179,15 @@ class BatchCombined:
     """Per-row results of a batched solve.
 
     ``d`` is (B, n) and ``w`` (B, m); a row of ``w`` is NaN where its solve
-    returned no weights or failed.  ``errors`` maps a row to the exception
-    its solve raised (its ``d`` row is then NaN).  ``lambda_star`` (B,) is
-    CAGrad's lambda*, None for MGDA.
+    returned no weights or failed.  ``errors`` maps a row to the SolverError
+    of its failed solve (its ``d`` row is then NaN).  The rows are not
+    checked further: the engine's weights are clamped at zero and
+    renormalized, or a vertex, and a caller checks d where it uses it.
     """
 
     d: np.ndarray
     w: np.ndarray
     errors: dict
-    lambda_star: np.ndarray | None = None
 
 
 def _rowdot(a, b):
@@ -282,24 +275,16 @@ def _check_batch(grads, w0):
     return grads, w0
 
 
-def _finish(rows, d_rows, w_rows, res, failures, d, w, **internals) -> BatchCombined:
-    """Place the solved rows into d and w, record a SolverError for each
-    failure (a position in rows and its message), and apply the checks of
-    SimplexWeights and CombinedGradient to every row (a row of w that is all
-    NaN has no weights).  A failed row's d and w become NaN."""
+def _finish(rows, d_rows, w_rows, res, failures, d, w) -> BatchCombined:
+    """Place the solved rows into d and w, and record a SolverError for each
+    failure (a position in rows and its message); a failed row's d and w
+    become NaN."""
     errors = {int(rows[i]): SolverError(msg, weights=w_rows[i], residual=float(res[i]))
               for i, msg in failures.items()}
     d[rows], w[rows] = d_rows, w_rows
-    low = w.min(axis=1, initial=0.0) < WEIGHT_FLOOR
-    w = np.maximum(w, 0.0)
-    for bad, msg in ((low, f"weight below {WEIGHT_FLOOR}"),
-                     (np.abs(w.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL, "weights must sum to 1"),
-                     (~np.isfinite(d).all(axis=1), "combined gradient must be finite")):
-        for i in np.flatnonzero(bad):
-            errors.setdefault(int(i), ValueError(msg))
     failed = list(errors)
     d[failed], w[failed] = np.nan, np.nan
-    return BatchCombined(d=d, w=w, errors=errors, **internals)
+    return BatchCombined(d=d, w=w, errors=errors)
 
 
 def _active_set_rows(g_hat, w, b=None, r=None):
@@ -440,7 +425,6 @@ def solve_cagrad_batch(grads, cfg: CagradConfig, w0) -> BatchCombined:
     zero = (_rowdot(g0_full, g0_full) == 0.0) & (cfg.c != 0.0)  # ||g0|| = 0
     w_ball[zero] = np.nan
     d_ball = np.where(zero[:, None], 0.0, g0_full)
-    lam = np.full(n_rows, np.inf)
 
     rows = np.flatnonzero(~zero) if cfg.c != 0.0 else np.zeros(0, dtype=int)
     scale = np.max(np.linalg.norm(grads[rows], axis=2), axis=1, initial=0.0)
@@ -461,20 +445,16 @@ def solve_cagrad_batch(grads, cfg: CagradConfig, w0) -> BatchCombined:
     res = np.where(np.isnan(res), np.inf, res)
     failures = {i: "CAGrad dual stalled at the g_w = 0 kink" if kink[i] else "CAGrad dual did not converge"
                 for i in np.flatnonzero(res > DUAL_TOL).tolist()}
-    lam[rows] = g_w_norm / r  # ||g_w|| / sqrt(phi), scale-invariant
-    return _finish(rows, (g0 + e) * scale[:, None], w, res, failures, d_ball, w_ball, lambda_star=lam)
+    return _finish(rows, (g0 + e) * scale[:, None], w, res, failures, d_ball, w_ball)
 
 
-def _one_row(batch_solve, gs: GradientSet, w0, cfg: CagradConfig | None = None) -> CombinedGradient:
+def _one_row(batch_solve, gs: GradientSet, w0) -> CombinedGradient:
     """``batch_solve`` of the one-row stack of gs; raises the row's error."""
     out = batch_solve(gs.grads[None], np.full((1, gs.m), np.nan) if w0 is None else np.asarray(w0)[None])
     if out.errors:
         raise out.errors[0]
     w = out.w[0]
-    cagrad = None if cfg is None else CagradInternals(phi=(cfg.c * float(np.linalg.norm(gs.mean_grad))) ** 2,
-                                                      lambda_star=float(out.lambda_star[0]))
-    return CombinedGradient(d=out.d[0], weights=None if np.isnan(w).all() else SimplexWeights(w),
-                            cagrad=cagrad)
+    return CombinedGradient(d=out.d[0], weights=None if np.isnan(w).all() else SimplexWeights(w))
 
 
 def solve_mgda_dual(gs: GradientSet, w0: np.ndarray | None = None) -> CombinedGradient:
@@ -491,11 +471,11 @@ def solve_mgda_dual(gs: GradientSet, w0: np.ndarray | None = None) -> CombinedGr
 def solve_cagrad_dual(gs: GradientSet, cfg: CagradConfig, w0: np.ndarray | None = None) -> CombinedGradient:
     """CAGrad update through its simplex dual: ``solve_cagrad_batch`` of one row.
 
-    Minimizes <g_w, g0> + sqrt(phi)*||g_w|| over the simplex with
-    phi = c^2*||g0||^2 and reconstructs d = g0 + g_w / lambda*,
-    lambda* = ||g_w|| / sqrt(phi).  ``w0`` warm-starts the solve.
+    Minimizes <g_w, g0> + c*||g0||*||g_w|| over the simplex and returns
+    d = g0 + c*||g0||*g_w / ||g_w||, or g0 plus the engine's limit update at
+    the kink g_w = 0.  ``w0`` warm-starts the solve.
     """
-    return _one_row(lambda grads, w0_: solve_cagrad_batch(grads, cfg, w0_), gs, w0, cfg)
+    return _one_row(lambda grads, w0_: solve_cagrad_batch(grads, cfg, w0_), gs, w0)
 
 
 # ---------------------------------------------------------------------------

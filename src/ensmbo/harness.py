@@ -482,7 +482,10 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, help=f"task seed (default {d.task_seed})")
     p.add_argument("--k", type=float, help=f"bottom-K fraction for the MBO dataset (default {d.k_fraction})")
     p.add_argument("--out", help="output directory (default $ENSMBO_OUT or ./runs)")
-    p.add_argument("--m", type=int, help=f"ensemble size (default {d.ensemble_size})")
+
+
+def _add_training(p: argparse.ArgumentParser):
+    p.add_argument("--m", type=int, help=f"ensemble size (default {ExperimentConfig.ensemble_size})")
     p.add_argument("--epochs", type=int, help=f"training epochs (default {TrainConfig.epochs})")
 
 
@@ -521,15 +524,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("train", help="train and serialize a proxy ensemble")
     _add_common(tr)
+    _add_training(tr)
 
     tune = sub.add_parser("tune", help="emit offline tuning trajectories (no oracle access)")
     _add_common(tune)
+    _add_training(tune)
     _add_ascent(tune)
     tune.add_argument("--combiner", default="mean", choices=ALGORITHMS, help="combiner (default mean)")
     tune.add_argument("--n-trajectories", type=_positive_int, default=4, help="starts to trace (default 4)")
 
     run = sub.add_parser("run", help="full experiment")
     _add_common(run)
+    _add_training(run)
     _add_ascent(run)
     run.add_argument("--combiner", help="comma-separated algorithm subset (default: all five)")
     run.add_argument("--n-candidates", type=int,
@@ -561,7 +567,7 @@ def _experiment_config(args) -> ExperimentConfig:
         given["algorithms"] = tuple(s.strip() for s in args.combiner.split(",") if s.strip())
     if getattr(args, "run_seeds", None):
         given["run_seeds"] = args.run_seeds
-    if args.epochs is not None:
+    if getattr(args, "epochs", None) is not None:
         given["train"] = replace(cfg.train, epochs=args.epochs)
     return replace(cfg, **given)
 
@@ -612,7 +618,7 @@ def cmd_tune(args) -> int:
     out = _out_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     for i, traj in enumerate(trajs):
-        path = out / f"trajectory_{combiner}_{i}.csv"
+        path = out / f"{Path(cfg.task).stem}_trajectory_{combiner}_seed{cfg.task_seed}_{i}.csv"
         write_trajectory_csv(traj, path)
         print(f"wrote {path}")
     calls_after = task.oracle.calls if task.oracle is not None else 0

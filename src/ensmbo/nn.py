@@ -437,17 +437,9 @@ def _train_in_workers(data, folds, members, cfg, n_workers) -> list:
 # ---------------------------------------------------------------------------
 
 def _average_ranks(a: np.ndarray) -> np.ndarray:
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(a.shape[0], dtype=np.float64)
-    sorted_a = a[order]
-    i = 0
-    while i < a.shape[0]:
-        j = i
-        while j + 1 < a.shape[0] and sorted_a[j + 1] == sorted_a[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average of ranks i+1..j+1
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(a, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - 0.5 * (counts - 1))[group]  # average of ranks end-count+1..end
 
 
 def spearman(a, b) -> float:

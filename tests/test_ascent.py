@@ -129,8 +129,10 @@ def test_unrecorded_single_evaluates_member_0_only():
     assert all(np.array_equal(t.final, want.final) for t in batch)
     # A recorded run evaluates every member, so member 1 fails it.
     recorded = AscentConfig(steps=6, alpha=0.1, combiner=Combiner.SINGLE, record_trajectory=True)
-    with pytest.raises(FloatingPointError, match="non-finite model output at step 0"):
+    with pytest.raises(RuntimeError,
+                       match=r"^trajectory 0 failed at step 0 \(single\): non-finite model output$") as info:
         ascend(start, space, Ensemble(models=[good, bad]), recorded)
+    assert type(info.value.__cause__) is FloatingPointError
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +163,13 @@ def test_discrete_refuses_onehot_start():
     space = DesignSpace.discrete(2, 2)
     ens = Ensemble(models=[zero_model(space.flat_dim)])
     cfg = AscentConfig(steps=1, alpha=1.0, combiner=Combiner.MEAN)
-    with pytest.raises(ValueError, match=r"shape \(1, 4\), the space expects \(N, 2\) raw tokens"):
+    with pytest.raises(RuntimeError, match=r"^trajectory 0 failed: designs have shape \(1, 4\), "
+                                           r"the space expects \(N, 2\) raw tokens$") as info:
         ascend(encode([[1, 0]], space)[0], space, ens, cfg)
-    with pytest.raises(ValueError, match="integer tokens; harden"):
+    assert type(info.value.__cause__) is ValueError
+    with pytest.raises(RuntimeError, match="^trajectory 0 failed: .*integer tokens; harden") as info:
         ascend(np.array([0.5, 1.0]), space, ens, cfg)
+    assert type(info.value.__cause__) is ValueError
 
 
 @pytest.mark.parametrize("start, cause", [
@@ -177,8 +182,9 @@ def test_bad_start_tokens_are_refused(start, cause):
     space = DesignSpace.discrete(2, 4)
     ens = Ensemble(models=[zero_model(space.flat_dim)])
     cfg = AscentConfig(steps=0, alpha=1.0, combiner=Combiner.MEAN)
-    with pytest.raises(ValueError, match=cause):
+    with pytest.raises(RuntimeError, match=f"^trajectory 0 failed: .*{cause}") as info:
         ascend(start, space, ens, cfg)
+    assert type(info.value.__cause__) is ValueError
     with pytest.raises(RuntimeError, match=f"^trajectory 1 failed: .*{cause}"):
         ascend_batch([[0, 0], start], space, ens, cfg)
 
@@ -246,8 +252,10 @@ def test_batch_failure_carries_index():
 def test_input_dim_mismatch_errors():
     ens = Ensemble(models=[linear_model([1.0, 1.0, 1.0])])
     cfg = AscentConfig(steps=1, alpha=0.1, combiner=Combiner.MEAN)
-    with pytest.raises(ValueError, match="input_dim does not match the space"):
+    with pytest.raises(RuntimeError,
+                       match=r"^trajectory 0 failed: ensemble input_dim does not match the space$") as info:
         ascend(np.zeros(2), identity_space(2), ens, cfg)
+    assert type(info.value.__cause__) is ValueError
     with pytest.raises(RuntimeError, match=r"^trajectory 0 failed: ensemble input_dim does not match the space$"):
         ascend_batch([np.zeros(2), np.zeros(3)], identity_space(2), ens, cfg)
 
@@ -404,8 +412,10 @@ def test_batch_failure_names_lowest_row_step_and_combiner():
     with pytest.raises(RuntimeError,
                        match=r"^trajectory 2 failed at step 3 \(mean\): non-finite model output$"):
         ascend_batch(starts, identity_space(2), ens, cfg)
-    with pytest.raises(FloatingPointError, match="non-finite model output at step 3"):
+    with pytest.raises(RuntimeError,
+                       match=r"^trajectory 0 failed at step 3 \(mean\): non-finite model output$") as info:
         ascend(starts[2], identity_space(2), ens, cfg)
+    assert type(info.value.__cause__) is FloatingPointError
     assert ascend(starts[0], identity_space(2), ens, cfg).final[0] == 5.0
 
 

@@ -177,7 +177,6 @@ def test_cagrad_c_zero_is_mean():
     gs = gset(np.random.default_rng(1).standard_normal((4, 5)))
     out = solve_cagrad_dual(gs, CagradConfig(0.0))
     assert np.array_equal(out.d, gs.mean_grad)
-    assert out.cagrad.phi == 0.0
 
 
 def test_cagrad_single_model_closed_form_and_grid_oracle():
@@ -205,8 +204,6 @@ def test_cagrad_symmetric_pair_on_ball_boundary():
     assert np.allclose(out.d, [0.75, 0.75], atol=1e-7)
     g0 = gs.mean_grad
     assert np.linalg.norm(out.d - g0) == pytest.approx(0.5 * np.linalg.norm(g0), rel=1e-6)
-    assert out.cagrad.lambda_star == pytest.approx(2.0, rel=1e-6)
-    assert out.cagrad.phi == pytest.approx(0.25 * float(g0 @ g0), rel=1e-12)
 
 
 def test_cagrad_zero_mean_gradient():
@@ -463,8 +460,7 @@ def test_batch_reports_per_row_errors(monkeypatch):
 
 def test_cagrad_scaled_mean_rounding_to_zero_is_a_zero_radius_ball():
     # ||g0|| is nonzero, but the mean of the scaled gradients rounds to zero,
-    # so sqrt(phi) = 0 and lambda* = ||g_w|| / sqrt(phi) is undefined: the
-    # ball has radius zero in the scaled problem, and d = g0
+    # so the ball has radius zero in the scaled problem, and d = g0
     g = np.array([[float.fromhex(v) for v in row] for row in (
         ("0x1.07682d35d1f5dp+3", "0x1.04219dbbb9de8p+2"),
         ("0x1.94bfab08fc1c6p+2", "-0x1.2b348f886d33bp+2"),
@@ -475,8 +471,6 @@ def test_cagrad_scaled_mean_rounding_to_zero_is_a_zero_radius_ball():
     out = solve_cagrad_dual(gs, CagradConfig(0.5))
     g0 = gs.mean_grad
     assert np.linalg.norm(g0) > 0.0 and np.array_equal(out.d, g0)
-    assert out.cagrad.lambda_star == np.inf
-    assert out.cagrad.phi == (0.5 * float(np.linalg.norm(g0))) ** 2
     assert np.linalg.norm(out.d - g0) <= 0.5 * np.linalg.norm(g0) * (1.0 + 1e-6)  # criterion 3
     ref = solve_cagrad_primal_reference(gs, CagradConfig(0.5))
     max_sq = float(np.max(np.sum(g * g, axis=1)))

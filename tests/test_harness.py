@@ -307,11 +307,21 @@ def test_cli_tune_never_touches_oracle(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "oracle calls during tuning: 0" in out
-    csvs = sorted(tmp_path.glob("trajectory_cagrad_*.csv"))
+    csvs = sorted(tmp_path.glob("bowl_trajectory_cagrad_seed1_*.csv"))
     assert len(csvs) == 2
     header = csvs[0].read_text().splitlines()[0]
     assert header == "step,pred_1,pred_2,d_norm"
     assert "y" not in header  # no ground-truth column anywhere in tune output
+
+
+def test_cli_tune_names_outputs_by_task_and_seed(tmp_path):
+    for task in ("bowl", "ridge"):
+        assert cli_main([
+            "tune", "--task", task, "--seed", "1", "--m", "2", "--epochs", "1",
+            "--steps", "1", "--combiner", "mean", "--n-trajectories", "2", "--out", str(tmp_path),
+        ]) == 0
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        f"{task}_trajectory_mean_seed1_{i}.csv" for task in ("bowl", "ridge") for i in range(2)]
 
 
 def test_cli_train_prints_metrics(tmp_path, capsys):
@@ -337,6 +347,13 @@ def test_cli_gen_task(tmp_path):
     assert meta["kind"] == "continuous"
     mbo, _ = read_dataset_csv(tmp_path / "bowl_mbo.csv")
     assert len(mbo) == 5_000
+
+
+@pytest.mark.parametrize("flag", ["--m", "--epochs"])
+def test_cli_gen_task_refuses_training_flags(tmp_path, capsys, flag):
+    assert cli_main(["gen-task", "--task", "bowl", flag, "3", "--out", str(tmp_path)]) == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_gen_task_from_csv_writes_under_out(tmp_path):
