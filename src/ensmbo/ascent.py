@@ -21,7 +21,7 @@ import numpy as np
 
 from .combine import CagradConfig, solve_cagrad_batch, solve_mgda_batch
 from .core import DesignSpace, decode, encode
-from .nn import Ensemble, mlp_value_and_grad, stack_mlps
+from .nn import Ensemble
 
 
 class Combiner(Enum):
@@ -68,34 +68,22 @@ class Trajectory:
 class _ModelBank:
     """Evaluator for all ensemble members at one point or a batch of points.
 
-    Same-shaped MLPs run as one stacked network.  Its weights are laid out
-    (m, 1, d_in, d_out) against inputs (1, B, 1, d), so every (member, row)
-    product is the (1, d) @ (d, h) product of a single point: a row gets the
-    same bits in a batch as alone.  Anything else falls back to calling each
-    model's ``value_and_grad``.
+    Each member evaluates every row with its own ``value_and_grad_rows``,
+    which runs each row as a single point: a row gets the same bits in a
+    batch as alone.
     """
 
     def __init__(self, models):
         self.models = models
-        self.stacked = stack_mlps(models)
-        if self.stacked is not None:
-            weights, biases = self.stacked
-            self._per_row = ([w[:, None] for w in weights], [b[:, None] for b in biases])
 
     def value_and_grad(self, x: np.ndarray):
         """Values (m,) and gradients (m, n) at a point x (n,), or values
         (B, m) and gradients (B, m, n) at the rows of x (B, n)."""
         X = np.atleast_2d(x)
-        if self.stacked is None:
-            vals = np.empty((X.shape[0], len(self.models)))
-            grads = np.empty((X.shape[0], len(self.models), X.shape[1]))
-            for r, xr in enumerate(X):
-                for i, mdl in enumerate(self.models):
-                    vals[r, i], grads[r, i] = mdl.value_and_grad(xr)
-        else:
-            out, g = mlp_value_and_grad(*self._per_row, X[None, :, None, :])
-            vals = np.ascontiguousarray(out[:, :, 0, 0].T)
-            grads = np.ascontiguousarray(np.swapaxes(g[:, :, 0, :], 0, 1))
+        vals = np.empty((X.shape[0], len(self.models)))
+        grads = np.empty((X.shape[0], len(self.models), X.shape[1]))
+        for i, mdl in enumerate(self.models):
+            vals[:, i], grads[:, i] = mdl.value_and_grad_rows(X)
         return (vals[0], grads[0]) if x.ndim == 1 else (vals, grads)
 
 

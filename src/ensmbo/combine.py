@@ -302,7 +302,8 @@ def _active_set_rows(g_hat, w, b=None, r=None):
     has t = p / sqrt(r^2 - q^2) if q^2 < r^2; otherwise f falls without
     bound along -y.  A minimizer with a negative weight, or an unbounded
     face, gets the minor cycle: a step toward the minimizer (or along -y)
-    until the first weight reaches zero, dropping the zero weights.  Else
+    until the first weight reaches zero, dropping only the coordinate the
+    ratio test picks (dropping every zero weight can cycle).  Else
     the minimizer is the new iterate, and the coordinate with the most
     violated optimality condition joins the support.  CAGrad's condition
     is on the gains <g_i, g0 + e> of its candidate update: e = r*g_w /
@@ -355,11 +356,12 @@ def _active_set_rows(g_hat, w, b=None, r=None):
             if minor.any():  # step toward the minimizer until a weight reaches zero
                 sel, xm, st, ng = grp[minor], x[minor], step[minor], neg[minor]
                 ratio = np.where(ng, xm, np.inf) / np.where(ng, -st, 1.0)
+                drop = (np.arange(sel.shape[0]), ratio.argmin(axis=1))
                 xm = xm + ratio.min(axis=1)[:, None] * st
-                xm[np.arange(sel.shape[0]), ratio.argmin(axis=1)] = 0.0
+                xm[drop] = 0.0
                 xm = np.maximum(xm, 0.0)
                 w[sel[:, None], idx[minor]] = xm / xm.sum(axis=1)[:, None]
-                support[sel[:, None], idx[minor]] = xm > 0.0
+                support[sel, idx[minor][drop]] = False  # other zero weights stay in S
             grp, idx, target = grp[~minor], idx[~minor], target[~minor]
             w_new = np.zeros((grp.shape[0], m))
             w_new[np.arange(grp.shape[0])[:, None], idx] = np.maximum(target, 0.0)

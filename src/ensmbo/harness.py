@@ -10,9 +10,10 @@ total dataset's extremes).
 
 Every command takes its settings from one ``ExperimentConfig``, resolved
 by ``_experiment_config``: a flag the user gave, else the ``--config``
-file (``run`` only), else the dataclass default.  ``_prepare`` builds the
-task, the MBO set and its run statistics for every command, and a
-``RunReport`` carries the configuration it ran.
+file (every command that trains), else the dataclass default.
+``_prepare`` builds the task and the MBO set, whose space carries the run
+statistics, for every command, and a ``RunReport`` carries the
+configuration it ran.
 
 Hyperparameter tuning is offline by construction: the ``tune`` command
 records proxy-prediction trajectories and never touches the oracle, and
@@ -26,7 +27,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -171,15 +172,15 @@ class RunReport:
         for alg in self.algorithms:
             rows = [r.summary for r in self.results if r.algorithm == alg]
             metrics = {}
-            for name in ("max", "p50", "mean", "max_norm", "p50_norm", "mean_norm"):
-                vals = np.array([getattr(s, name) for s in rows], dtype=np.float64)
-                metrics[name] = (float(vals.mean()), float(vals.std()))
+            for f in fields(ScoreSummary):
+                vals = np.array([getattr(s, f.name) for s in rows], dtype=np.float64)
+                metrics[f.name] = (float(vals.mean()), float(vals.std()))
             out[alg] = metrics
         return out
 
 
 def _prepare(cfg: ExperimentConfig):
-    """The task, its MBO set and the design space the run works in.
+    """The task and its MBO set, whose space is the one the run works in.
 
     Continuous runs normalize with MBO-dataset statistics (offline data only).
     """
@@ -191,9 +192,9 @@ def _prepare(cfg: ExperimentConfig):
         raise ValueError(f"unknown task '{cfg.task}' (not a registry name or CSV path)")
     mbo = select_bottom_fraction(task.total_dataset(), cfg.k_fraction)
     if task.space.is_discrete:
-        return task, mbo, task.space
+        return task, mbo
     space_run = task.space.with_stats(*stats_from_designs(mbo.designs))
-    return task, Dataset(space=space_run, designs=mbo.designs, scores=mbo.scores), space_run
+    return task, Dataset(space=space_run, designs=mbo.designs, scores=mbo.scores)
 
 
 def _proxy_scores(finals, space, ens: Ensemble) -> np.ndarray:
@@ -213,7 +214,7 @@ def _ascend(starts, space: DesignSpace, ens, acfg: AscentConfig, task_name: str,
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Full pipeline for one task over one or more run seeds."""
-    task, mbo, space_run = _prepare(cfg)  # a fresh task: its oracle has no calls yet
+    task, mbo = _prepare(cfg)  # a fresh task: its oracle has no calls yet
     if cfg.n_candidates > len(mbo):
         raise ValueError("n_candidates exceeds the MBO dataset size")
     baseline_norm = normalize_score(float(mbo.scores.max()), task.y_min, task.y_max)
@@ -236,13 +237,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         starts = select_top_n(mbo, cfg.n_candidates)
         for alg, acfg in ascent_configs.items():
             a0 = time.perf_counter()
-            finals = np.array([t.final for t in _ascend(starts, space_run, ens, acfg, task.name, rs)])
+            finals = np.array([t.final for t in _ascend(starts, mbo.space, ens, acfg, task.name, rs)])
             if task.oracle is not None:
                 if task.oracle.calls != sum(r.scores.shape[0] for r in results):
                     raise RuntimeError("oracle was touched outside the evaluation stage")
                 scores = np.asarray(evaluate_oracle(task, finals))
             else:
-                scores = _proxy_scores(finals, space_run, ens)
+                scores = _proxy_scores(finals, mbo.space, ens)
             summary = summarize_scores(scores).with_normalized(task.y_min, task.y_max)
             results.append(
                 AlgoResult(
@@ -411,17 +412,7 @@ def persist_report(report: RunReport, cfg: ExperimentConfig, run_dir: Path) -> N
             str(rs): [[None if v is None or np.isnan(v) else float(v) for v in pair] for pair in pairs]
             for rs, pairs in report.val_metrics.items()
         },
-        "summaries": {
-            f"{r.algorithm}/seed{r.run_seed}": {
-                "max": r.summary.max,
-                "p50": r.summary.p50,
-                "mean": r.summary.mean,
-                "max_norm": r.summary.max_norm,
-                "p50_norm": r.summary.p50_norm,
-                "mean_norm": r.summary.mean_norm,
-            }
-            for r in report.results
-        },
+        "summaries": {f"{r.algorithm}/seed{r.run_seed}": asdict(r.summary) for r in report.results},
     }
     (run_dir / "results.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -487,6 +478,7 @@ def _add_common(p: argparse.ArgumentParser):
 def _add_training(p: argparse.ArgumentParser):
     p.add_argument("--m", type=int, help=f"ensemble size (default {ExperimentConfig.ensemble_size})")
     p.add_argument("--epochs", type=int, help=f"training epochs (default {TrainConfig.epochs})")
+    p.add_argument("--config", help="JSON config file mirroring ExperimentConfig; flags override it")
 
 
 def _add_ascent(p: argparse.ArgumentParser):
@@ -541,7 +533,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--n-candidates", type=int,
                      help=f"designs per algorithm (default {ExperimentConfig.n_candidates})")
     run.add_argument("--run-seeds", type=_seed_list, help="comma-separated run seeds (default: the task seed)")
-    run.add_argument("--config", help="JSON config file mirroring ExperimentConfig; flags override it")
 
     rep = sub.add_parser("report", help="re-render a stored run report")
     rep.add_argument("--run-dir", required=True)
@@ -574,7 +565,7 @@ def _experiment_config(args) -> ExperimentConfig:
 
 def cmd_gen_task(args) -> int:
     cfg = _experiment_config(args)
-    task, mbo, _space = _prepare(cfg)
+    task, mbo = _prepare(cfg)
     out = _out_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     name = Path(cfg.task).stem
@@ -588,7 +579,7 @@ def cmd_gen_task(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _experiment_config(args)
-    task, mbo, _space = _prepare(cfg)
+    task, mbo = _prepare(cfg)
     ens = train_ensemble(mbo, cfg.ensemble_size, replace(cfg.train, seed=cfg.task_seed))
     out = _out_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -603,7 +594,7 @@ def cmd_train(args) -> int:
 def cmd_tune(args) -> int:
     cfg = _experiment_config(args)
     (combiner,) = cfg.algorithms
-    task, mbo, space_run = _prepare(cfg)
+    task, mbo = _prepare(cfg)
     calls_before = task.oracle.calls if task.oracle is not None else 0
     acfg = AscentConfig(
         steps=cfg.steps,
@@ -614,7 +605,7 @@ def cmd_tune(args) -> int:
     )
     starts = select_top_n(mbo, min(args.n_trajectories, len(mbo)))
     ens = train_ensemble(mbo, cfg.ensemble_size, replace(cfg.train, seed=cfg.task_seed))
-    trajs = _ascend(starts, space_run, ens, acfg, task.name, cfg.task_seed)
+    trajs = _ascend(starts, mbo.space, ens, acfg, task.name, cfg.task_seed)
     out = _out_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     for i, traj in enumerate(trajs):

@@ -36,7 +36,9 @@ class MlpModel:
     """Feedforward regressor: ReLU hidden layers, scalar linear output.
 
     ``weights[l]`` has shape (fan_in, fan_out); biases are 1-D. Validation
-    metrics from training (best epoch) ride along for reporting.
+    metrics from training (best epoch) ride along for reporting.  Input
+    gradients have one entry, ``value_and_grad_rows``, which evaluates
+    each row as a single point; a single point is its one-row case.
     """
 
     weights: list
@@ -67,12 +69,23 @@ class MlpModel:
         return mlp_forward(self.weights, self.biases, X)[0][:, 0]
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Scalar output and its exact reverse-mode gradient wrt the input.
+        """Scalar output and its gradient wrt the input: the one-row case of
+        ``value_and_grad_rows``."""
+        vals, grads = self.value_and_grad_rows(self._check_input(x)[None])
+        return float(vals[0]), grads[0]
+
+    def value_and_grad_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Outputs (B,) and their exact reverse-mode gradients (B, n) wrt the
+        rows of X (B, n).  The kernel runs on X (B, 1, n), so each row is the
+        product of a single point and gets the same bits in any batch.
 
         ReLU uses subgradient 0 where the pre-activation is exactly 0.
         """
-        out, grad = mlp_value_and_grad(self.weights, self.biases, self._check_input(x))
-        return float(out[0]), grad
+        if X.ndim != 2 or X.shape[1] != self.input_dim:
+            raise ValueError("batch has wrong shape")
+        out, acts = mlp_forward(self.weights, self.biases, X[:, None, :])
+        delta = mlp_backward(self.weights, acts, np.ones_like(out))[0]
+        return out[:, 0, 0], _times_transpose(delta, self.weights[0])[:, 0]
 
     def input_gradient(self, x: np.ndarray) -> np.ndarray:
         return self.value_and_grad(x)[1]
@@ -82,14 +95,12 @@ class MlpModel:
 # The forward/backward kernel
 # ---------------------------------------------------------------------------
 #
-# Written with ``@`` and broadcasting elementwise operations only, so one
-# code path serves a single model (weights (d_in, d_out), biases (d_out,),
-# input (d,) or (B, d)) and a stacked ensemble (weights (m, d_in, d_out),
-# biases (m, 1, d_out), input (B, d)).
-# numpy runs a stacked product as one BLAS call per member with the same
-# shapes and strides as the single-model product, so both give the same
-# bits.  With weights (m, 1, d_in, d_out), biases (m, 1, 1, d_out) and
-# input (1, B, 1, d), each (member, row) pair runs the one-point product.
+# Written with ``@`` and broadcasting elementwise operations only, against
+# one model's weights (d_in, d_out) and biases (d_out,).  Training runs it
+# on a batch (B, d), one product per layer.  Input gradients run it on
+# (B, 1, d): numpy then makes one (1, d) @ (d, d_out) product per row, the
+# same shapes and strides as a single point's, so a row's bits do not
+# depend on the batch around it.
 
 
 def mlp_forward(weights, biases, x):
@@ -106,13 +117,10 @@ def mlp_forward(weights, biases, x):
 
 
 def _times_transpose(delta, w):
-    """``delta @ w.T`` over the last two axes.  Against one output column
-    (K = 1) every entry is a single product, so a broadcast multiply gives
-    the same bits at a third of the cost.  A 1-D ``delta`` keeps the
-    product's 1-D shape."""
-    if w.shape[-1] == 1 and delta.ndim > 1:
-        return delta * np.swapaxes(w, -1, -2)
-    return delta @ np.swapaxes(w, -1, -2)
+    """``delta @ w.T``.  Against one output column (K = 1) every entry is a
+    single product, so a broadcast multiply gives the same bits at a third
+    of the cost."""
+    return delta * w.T if w.shape[1] == 1 else delta @ w.T
 
 
 def mlp_backward(weights, acts, d_out):
@@ -124,25 +132,6 @@ def mlp_backward(weights, acts, d_out):
         delta *= a > 0.0
         deltas.append(delta)
     return deltas[::-1]
-
-
-def mlp_value_and_grad(weights, biases, x):
-    """Network output and its gradient wrt the input ``x``."""
-    out, acts = mlp_forward(weights, biases, x)
-    delta = mlp_backward(weights, acts, np.ones_like(out))[0]
-    return out, _times_transpose(delta, weights[0])
-
-
-def stack_mlps(models):
-    """Parameters of same-shaped MLPs stacked for the kernel, or None when the
-    members are not all MLPs of one shape."""
-    if not all(isinstance(m, MlpModel) for m in models):
-        return None
-    if len({tuple(w.shape for w in m.weights) for m in models}) != 1:
-        return None
-    weights = [np.stack(ws) for ws in zip(*(m.weights for m in models))]
-    biases = [np.stack(bs)[:, None, :] for bs in zip(*(m.biases for m in models))]
-    return weights, biases
 
 
 def init_mlp(input_dim: int, hidden, rng: np.random.Generator) -> MlpModel:
@@ -344,7 +333,7 @@ def train_ensemble(data: Dataset, m: int, cfg: TrainConfig) -> Ensemble:
         if rows < cfg.batch_size:
             raise ValueError(
                 f"need at least batch_size training rows: got {rows} rows for batch_size "
-                f"{cfg.batch_size}; set train.batch_size in an `ensmbo run --config` file"
+                f"{cfg.batch_size}; set train.batch_size in a `--config` file"
             )
     n_workers = min(m, len(os.sched_getaffinity(0)))
     if n_workers < 2:

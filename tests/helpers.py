@@ -5,7 +5,16 @@ import numpy as np
 from ensmbo.nn import MlpModel
 
 
-class QuadraticModel:
+class PointModel:
+    """Base of the analytic test models, which define ``value_and_grad`` at
+    one point: their rows entry evaluates the rows one at a time."""
+
+    def value_and_grad_rows(self, X):
+        evals = [self.value_and_grad(x) for x in X]
+        return np.array([v for v, _ in evals]), np.array([g for _, g in evals])
+
+
+class QuadraticModel(PointModel):
     """Analytic concave quadratic f(x) = -||x - t||^2 with exact gradients."""
 
     def __init__(self, target):
@@ -134,7 +143,7 @@ def reference_train_arrays(X, y, cfg, X_val=None, y_val=None) -> MlpModel:
     if X.shape[0] < cfg.batch_size:
         raise ValueError(
             f"need at least batch_size training rows: got {X.shape[0]} rows for batch_size "
-            f"{cfg.batch_size}; set train.batch_size in an `ensmbo run --config` file"
+            f"{cfg.batch_size}; set train.batch_size in a `--config` file"
         )
     rng = np.random.default_rng(cfg.seed)
     if X_val is None:

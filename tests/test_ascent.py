@@ -12,7 +12,7 @@ from ensmbo.ascent import (
 from ensmbo.core import DesignSpace, decode, encode
 from ensmbo.nn import Ensemble, MlpModel, init_mlp
 
-from helpers import QuadraticModel, linear_model, reference_ascent
+from helpers import PointModel, QuadraticModel, linear_model, reference_ascent
 
 
 def identity_space(dim):
@@ -190,25 +190,31 @@ def test_bad_start_tokens_are_refused(start, cause):
 
 
 # ---------------------------------------------------------------------------
-# stacked model evaluation
+# ensemble evaluation by rows
 # ---------------------------------------------------------------------------
 
-def test_stacked_bank_matches_each_member_bitwise():
+def test_bank_rows_match_each_member_bitwise():
     rng = np.random.default_rng(9)
     for _ in range(200):
         m, dim = int(rng.integers(1, 7)), int(rng.integers(2, 41))
         hidden = tuple(int(h) for h in rng.integers(1, 65, size=int(rng.integers(0, 3))))
         models = [init_mlp(dim, hidden, rng) for _ in range(m)]
+        # one member of other hidden sizes: the members need not share a shape
+        models.append(init_mlp(dim, tuple(int(h) for h in rng.integers(1, 65, size=2)), rng))
         for mdl in models:  # nonzero biases so every term of the kernel counts
             mdl.biases = [0.1 * rng.standard_normal(b.shape) for b in mdl.biases]
         bank = _ModelBank(models)
-        assert bank.stacked is not None
-        x = rng.standard_normal(dim)
-        vals, grads = bank.value_and_grad(x)
-        for i, mdl in enumerate(models):
-            val, grad = mdl.value_and_grad(x)
-            assert vals[i] == val
-            assert np.array_equal(grads[i], grad)
+        for n_rows in (1, 5):
+            X = rng.standard_normal((n_rows, dim))
+            vals, grads = bank.value_and_grad(X)
+            assert vals.shape == (n_rows, len(models)) and grads.shape == (n_rows, len(models), dim)
+            for r, x in enumerate(X):
+                for i, mdl in enumerate(models):
+                    val, grad = mdl.value_and_grad(x)
+                    assert vals[r, i] == val
+                    assert np.array_equal(grads[r, i], grad)
+        point_vals, point_grads = bank.value_and_grad(X[0])
+        assert np.array_equal(point_vals, vals[0]) and np.array_equal(point_grads, grads[0])
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +402,7 @@ def test_row_result_independent_of_other_rows(combiner):
         assert np.array_equal(traj.final, full[pos].final)
 
 
-class _BlowsUp:
+class _BlowsUp(PointModel):
     """f(x) = x[0] with gradient (1, 0), non-finite from x[0] = 5.5 on."""
 
     input_dim = 2

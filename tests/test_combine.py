@@ -542,14 +542,15 @@ def sweep_stack(s):
 
 
 @pytest.mark.parametrize("s, c", [(709, 0.5), (1407, 0.5), (1397, 0.9), (102, 0.5), (2174, 0.9),
-                                  (2677, 0.9), (5398, 0.7)])
+                                  (2677, 0.9), (5398, 0.7), (3518, 0.99)])
 def test_cagrad_sweep_stack_is_exact(s, c):
     # 709, 1407 and 2174 end at the g_w = 0 kink of the dual.  The optima of
     # 1397 and 102 lie off the kink, beside a negated pair whose min-norm point
     # is 0; from that pair's kink, 102 needs the face's limit subgradient.
     # 2677 and 5398 end at the kink on a face that adding the gradient of
     # least gain one by one to their negated pair does not find; the engine's
-    # limit update g0 - G_S^T y of that face solves them.
+    # limit update g0 - G_S^T y of that face solves them.  On 3518 two
+    # weights reach zero in one minor step; dropping both cycles the support.
     g = sweep_stack(s)
     gs = gset(g)
     d = solve_cagrad_dual(gs, CagradConfig(c)).d

@@ -602,6 +602,24 @@ def test_small_csv_names_rows_and_batch_size(tmp_path, capsys):
     assert "train.batch_size" in err and "--config" in err
 
 
+@pytest.mark.parametrize("command", ["train", "tune"])
+def test_train_and_tune_take_batch_size_from_config(command, tmp_path, capsys):
+    # 200 rows leave 100 MBO rows: too few for the default batch_size of 256
+    assert cli_main(["gen-task", "--task", "ridge", "--seed", "3", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "ridge_total.csv").read_text(encoding="utf-8").splitlines()
+    csv_path = tmp_path / "head.csv"
+    csv_path.write_text("\n".join(lines[:201]) + "\n", encoding="utf-8")
+    (tmp_path / "head.meta.json").write_bytes((tmp_path / "ridge_total.meta.json").read_bytes())
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"train": {"batch_size": 64}}))
+    argv = [command, "--task", str(csv_path), "--epochs", "1", "--out", str(tmp_path / "out")]
+    if command == "tune":
+        argv += ["--steps", "2"]
+    assert cli_main(argv) == 1
+    assert "set train.batch_size in a `--config` file" in capsys.readouterr().err
+    assert cli_main(argv + ["--config", str(cfg_path)]) == 0
+
+
 def _edit_csv(path, edit):
     """Apply edit(data_rows, header) to the string cells of a dataset CSV."""
     lines = path.read_text(encoding="utf-8").splitlines()
