@@ -39,8 +39,12 @@ class SolverError(RuntimeError):
 
     def __init__(self, message: str, weights: np.ndarray, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")
+        self.message = message
         self.weights = weights
         self.residual = residual
+
+    def __reduce__(self):  # ``args`` holds only the formatted message
+        return type(self), (self.message, self.weights, self.residual)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,8 @@ scale:
 
   * minibind - discrete 8x4 token sequences scored by per-position plus
     pairwise-interaction effects; the oracle is an exact lookup over the
-    fully enumerated 65,536-sequence total dataset.
+    fully enumerated 65,536-sequence total dataset, whose scores are
+    summed table by table on the (4,) * 8 grid of all sequences.
   * ridge    - continuous vectors where the signal lives on a narrow
     manifold: a saturating gain along one direction of the leading
     coordinates and a steep quadratic penalty on the remaining ones.
@@ -20,7 +21,6 @@ training and tuning never touch ground truth.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,19 +41,16 @@ class Oracle:
 
     fn: object  # raw design row -> float
     _calls: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def calls(self) -> int:
         return self._calls
 
     def reset_calls(self) -> None:
-        with self._lock:
-            self._calls = 0
+        self._calls = 0
 
     def score(self, design: np.ndarray) -> float:
-        with self._lock:
-            self._calls += 1
+        self._calls += 1
         return float(self.fn(design))
 
 
@@ -111,24 +108,29 @@ MINIBIND_L = 8
 MINIBIND_V = 4
 
 
+def _along(x: np.ndarray, L: int, *axes: int) -> np.ndarray:
+    """``x`` as a view along ``axes`` (increasing) of an L-axis grid."""
+    return np.expand_dims(x, tuple(i for i in range(L) if i not in axes))
+
+
 def _enumerate_tokens(L: int, V: int) -> np.ndarray:
-    n = V**L
-    idx = np.arange(n)
-    tokens = np.empty((n, L), dtype=np.int64)
+    """All V**L sequences in lexicographic order, position 0 most significant."""
+    tokens = np.empty((V**L, L), dtype=np.int64)
+    grid = tokens.reshape((V,) * L + (L,))  # a view: row i is grid[digits of i]
     for p in range(L):
-        tokens[:, p] = (idx // V ** (L - 1 - p)) % V
+        grid[..., p] = _along(np.arange(V), L, p)
     return tokens
 
 
-def _minibind_scores(tokens: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    L = tokens.shape[1]
-    y = np.zeros(tokens.shape[0])
+def _minibind_scores(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    L, V = a.shape
+    y = np.zeros((V,) * L)
     for p in range(L):
-        y += a[p, tokens[:, p]]
+        y += _along(a[p], L, p)
     for p in range(L):
         for q in range(p + 1, L):
-            y += b[p, q, tokens[:, p], tokens[:, q]]
-    return y
+            y += _along(b[p, q], L, p, q)
+    return y.ravel()
 
 
 def make_minibind(seed: int) -> TaskSpec:
@@ -136,8 +138,11 @@ def make_minibind(seed: int) -> TaskSpec:
 
     Ground truth y(s) = sum_p A[p, s_p] + sum_{p<q} B[p, q, s_p, s_q] with
     seeded standard-normal coefficients scaled for roughly unit-variance
-    scores.  The total dataset enumerates all 65,536 sequences and the
-    oracle is an exact lookup on that enumeration.
+    scores.  The total dataset enumerates all 65,536 sequences, and their
+    scores are summed on the (V,) * L grid: each table is broadcast along
+    its positions, A[0] to A[L-1] and then B[p, q] for p < q, so every
+    sequence gets its additions in that one order.  The oracle is an exact
+    lookup on that enumeration.
     """
     L, V = MINIBIND_L, MINIBIND_V
     rng = np.random.default_rng(seed)
@@ -146,7 +151,7 @@ def make_minibind(seed: int) -> TaskSpec:
     b = rng.standard_normal((L, L, V, V)) * scl
     space = DesignSpace.discrete(L, V)
     tokens = _enumerate_tokens(L, V)
-    scores = _minibind_scores(tokens, a, b)
+    scores = _minibind_scores(a, b)
     powers = V ** np.arange(L - 1, -1, -1)
 
     def lookup(design: np.ndarray) -> float:

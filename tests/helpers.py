@@ -209,3 +209,26 @@ def reference_train_arrays(X, y, cfg, X_val=None, y_val=None) -> MlpModel:
     except ValueError:
         model.val_spearman = float("nan")  # constant validation targets
     return model
+
+
+def reference_minibind_tokens(L, V):
+    """All V**L sequences, each position's column computed from the row index."""
+    n = V**L
+    idx = np.arange(n)
+    tokens = np.empty((n, L), dtype=np.int64)
+    for p in range(L):
+        tokens[:, p] = (idx // V ** (L - 1 - p)) % V
+    return tokens
+
+
+def reference_minibind_scores(tokens, a, b):
+    """Minibind scores by one fancy-index gather per table, summed in the
+    order `tasks._minibind_scores` adds them."""
+    L = tokens.shape[1]
+    y = np.zeros(tokens.shape[0])
+    for p in range(L):
+        y += a[p, tokens[:, p]]
+    for p in range(L):
+        for q in range(p + 1, L):
+            y += b[p, q, tokens[:, p], tokens[:, q]]
+    return y

@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -57,6 +58,16 @@ def test_simplex_weights_invariants():
         SimplexWeights(np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
         SimplexWeights(np.array([1.1, -0.1]))
+
+
+@pytest.mark.parametrize("residual", [1e-3, np.inf])
+def test_solver_error_survives_pickling(residual):
+    weights = np.random.default_rng(3).dirichlet(np.ones(4))
+    exc = SolverError("MGDA dual did not converge", weights=weights, residual=residual)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is SolverError and str(back) == str(exc)
+    assert back.weights.dtype == weights.dtype and back.weights.tobytes() == weights.tobytes()
+    assert back.residual == residual
 
 
 def test_cagrad_config_range():

@@ -298,6 +298,20 @@ def test_cli_run_leaves_no_process_behind(tmp_path):
     assert left == []
 
 
+@pytest.mark.parametrize("code, absent", [
+    ("import ensmbo.core, ensmbo.tasks",  # the task set-up path
+     ["ensmbo.harness", "ensmbo.ascent", "ensmbo.combine", "ensmbo.nn", "argparse", "subprocess"]),
+    ("from ensmbo.nn import _fold_worker",  # each training worker
+     ["ensmbo.harness", "ensmbo.ascent", "ensmbo.combine", "ensmbo.tasks"]),
+])
+def test_entry_points_import_only_what_they_use(code, absent):
+    src = str(Path(ensmbo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", f"{code}; import sys; print(' '.join(sys.modules))"],
+                         env=env, capture_output=True, text=True, timeout=60, check=True).stdout
+    assert sorted(set(absent) & set(out.split())) == []
+
+
 def test_cli_tune_never_touches_oracle(tmp_path, capsys):
     code = cli_main([
         "tune", "--task", "bowl", "--seed", "1", "--m", "2", "--epochs", "2",

@@ -14,6 +14,8 @@ from ensmbo.tasks import (
     make_ridge,
 )
 
+from helpers import reference_minibind_scores, reference_minibind_tokens
+
 
 # ---------------------------------------------------------------------------
 # MiniBind
@@ -63,6 +65,17 @@ def test_minibind_oracle_matches_recomputation(minibind):
             for q in range(p + 1, 8):
                 expected += b[p, q, seq[p], seq[q]]
         assert val == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_minibind_matches_gather_reference_bitwise(seed):
+    task = make_minibind(seed)
+    total = task.total_dataset()
+    tokens = reference_minibind_tokens(8, 4)
+    scores = reference_minibind_scores(tokens, task.params["A"], task.params["B"])
+    assert total.designs.dtype == tokens.dtype and total.designs.tobytes() == tokens.tobytes()
+    assert total.scores.dtype == scores.dtype and total.scores.tobytes() == scores.tobytes()
+    assert task.y_min == scores.min() and task.y_max == scores.max()
 
 
 def test_minibind_bottom_half_max_below_total_max(minibind):
