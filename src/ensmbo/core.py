@@ -327,7 +327,8 @@ def read_dataset_csv(csv_path) -> tuple[Dataset, dict]:
     Malformed rows raise with the 1-based data row number.  A non-finite
     value raises naming the file, its row and its column, and so does a
     column whose sum of squares overflows float64 (training and the
-    normalization statistics square these values).
+    normalization statistics square these values). A continuous space
+    carries the identity statistics: a run normalizes with its MBO set's.
     """
     csv_path = Path(csv_path)
     meta = read_metadata(metadata_path(csv_path))
@@ -382,7 +383,4 @@ def read_dataset_csv(csv_path) -> tuple[Dataset, dict]:
     if overflow.any():
         raise ValueError(f"{csv_path}: column {names[int(np.argmax(overflow))]}: "
                          "values too large, their squares overflow float64")
-    if not space.is_discrete:
-        mean, std = stats_from_designs(arr)
-        space = space.with_stats(mean, std)
     return Dataset(space=space, designs=arr, scores=np.asarray(scores)), meta

@@ -9,10 +9,13 @@ report max / 50th-percentile / mean metrics (normalized against the
 total dataset's extremes).
 
 Every command takes its settings from one ``ExperimentConfig``, resolved
-by ``_experiment_config``: a flag the user gave, else the ``--config``
-file (every command that trains), else the dataclass default.
-``_prepare`` builds the task and the MBO set, whose space carries the run
-statistics, for every command, and a ``RunReport`` carries the
+by ``_experiment_config``: each flag's ``dest`` is the field it sets, and
+a field comes from its flag, else the ``--config`` file (every command
+that trains), else the command's own default, else the dataclass
+default. ``ExperimentConfig.ascent_config`` builds every ascent setting.
+``_prepare`` builds the task and the MBO set for every command; the MBO
+set's space is the only one that carries normalization statistics, the
+run's, computed from the MBO designs alone. A ``RunReport`` carries the
 configuration it ran.
 
 Hyperparameter tuning is offline by construction: the ``tune`` command
@@ -46,7 +49,7 @@ from .core import (
     summarize_scores,
     write_dataset_csv,
 )
-from .nn import Ensemble, TrainConfig, save_ensemble, train_ensemble
+from .nn import Ensemble, TrainConfig, _metric, save_ensemble, train_ensemble
 from .tasks import TASK_REGISTRY, evaluate_oracle, export_task_csv, get_task, ingest_csv
 
 ALGORITHMS = tuple(c.value for c in Combiner)
@@ -115,8 +118,9 @@ class ExperimentConfig:
             return self.cagrad_c
         return TASK_DEFAULTS.get(self.task, {}).get("cagrad_c", 0.5)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    def ascent_config(self, alg: str, record: bool = False) -> AscentConfig:
+        return AscentConfig(steps=self.steps, alpha=self.resolved_alpha(), combiner=Combiner(alg),
+                            cagrad_c=self.resolved_cagrad_c(), record_trajectory=record)
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -158,18 +162,10 @@ class RunReport:
     train_seconds: dict
     ensembles: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def algorithms(self) -> tuple:
-        return self.config.algorithms
-
-    @property
-    def run_seeds(self) -> tuple:
-        return self.config.resolved_seeds()
-
     def aggregate(self) -> dict:
         """Per-algorithm mean/std over run seeds for each metric."""
         out = {}
-        for alg in self.algorithms:
+        for alg in self.config.algorithms:
             rows = [r.summary for r in self.results if r.algorithm == alg]
             metrics = {}
             for f in fields(ScoreSummary):
@@ -218,11 +214,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     if cfg.n_candidates > len(mbo):
         raise ValueError("n_candidates exceeds the MBO dataset size")
     baseline_norm = normalize_score(float(mbo.scores.max()), task.y_min, task.y_max)
-    alpha = cfg.resolved_alpha()
-    cagrad_c = cfg.resolved_cagrad_c()
     # Built before any training, so a bad setting is refused at once.
-    ascent_configs = {alg: AscentConfig(steps=cfg.steps, alpha=alpha, combiner=Combiner(alg),
-                                        cagrad_c=cagrad_c) for alg in cfg.algorithms}
+    ascent_configs = {alg: cfg.ascent_config(alg) for alg in cfg.algorithms}
 
     results: list[AlgoResult] = []
     val_metrics: dict = {}
@@ -245,16 +238,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             else:
                 scores = _proxy_scores(finals, mbo.space, ens)
             summary = summarize_scores(scores).with_normalized(task.y_min, task.y_max)
-            results.append(
-                AlgoResult(
-                    algorithm=alg,
-                    run_seed=rs,
-                    summary=summary,
-                    scores=scores,
-                    finals_raw=finals,
-                    wall_clock=time.perf_counter() - a0,
-                )
-            )
+            results.append(AlgoResult(algorithm=alg, run_seed=rs, summary=summary, scores=scores,
+                                      finals_raw=finals, wall_clock=time.perf_counter() - a0))
 
     eval_calls = task.oracle.calls if task.oracle is not None else 0
     expected = cfg.n_candidates * len(cfg.algorithms) * len(cfg.resolved_seeds())
@@ -263,8 +248,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     return RunReport(
         config=cfg,
         task_name=task.name,
-        alpha=alpha,
-        cagrad_c=cagrad_c,
+        alpha=cfg.resolved_alpha(),
+        cagrad_c=cfg.resolved_cagrad_c(),
         y_min=task.y_min,
         y_max=task.y_max,
         baseline_norm=baseline_norm,
@@ -318,7 +303,7 @@ def _table(title: str, header: str, rows: list, extra_rows=()) -> list:
 def report_markdown(report: RunReport) -> str:
     agg = report.aggregate()
     cfg = report.config
-    multi = len(report.run_seeds) > 1
+    multi = len(cfg.resolved_seeds()) > 1
     lines = [
         f"# Offline MBO report: {report.task_name}",
         "",
@@ -327,7 +312,7 @@ def report_markdown(report: RunReport) -> str:
         f"- ensemble size: {cfg.ensemble_size}",
         f"- candidates per algorithm: {cfg.n_candidates}",
         f"- update steps: {cfg.steps}, step size: {_fmt(report.alpha)}, CAGrad c: {_fmt(report.cagrad_c)}",
-        f"- run seeds: {', '.join(str(s) for s in report.run_seeds)}",
+        f"- run seeds: {', '.join(str(s) for s in cfg.resolved_seeds())}",
         f"- score normalization range: [{_fmt(report.y_min)}, {_fmt(report.y_max)}]",
         "",
     ]
@@ -340,7 +325,7 @@ def report_markdown(report: RunReport) -> str:
 
     def rows_for(metric: str) -> list:
         out = []
-        for alg in report.algorithms:
+        for alg in cfg.algorithms:
             mean, std = agg[alg][metric]
             out.append((DISPLAY_NAMES[alg], mean, _fmt_pair(mean, std, multi)))
         return out
@@ -396,22 +381,19 @@ def persist_report(report: RunReport, cfg: ExperimentConfig, run_dir: Path) -> N
     for rs, ens in report.ensembles.items():
         save_ensemble(ens, run_dir / f"ensemble_seed{rs}.bin")
     payload = {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "task_name": report.task_name,
         "y_min": report.y_min,
         "y_max": report.y_max,
         "baseline_norm": report.baseline_norm,
         "proxy_only": report.proxy_only,
-        "algorithms": list(report.algorithms),
-        "run_seeds": list(report.run_seeds),
+        "algorithms": list(cfg.algorithms),
+        "run_seeds": list(cfg.resolved_seeds()),
         "alpha": report.alpha,
         "cagrad_c": report.cagrad_c,
         "oracle_calls": report.oracle_calls,
-        "val_metrics": {
-            # null, not a bare NaN, for a metric undefined on constant targets
-            str(rs): [[None if v is None or np.isnan(v) else float(v) for v in pair] for pair in pairs]
-            for rs, pairs in report.val_metrics.items()
-        },
+        "val_metrics": {str(rs): [[_metric(v) for v in pair] for pair in pairs]
+                        for rs, pairs in report.val_metrics.items()},
         "summaries": {f"{r.algorithm}/seed{r.run_seed}": asdict(r.summary) for r in report.results},
     }
     (run_dir / "results.json").write_text(
@@ -436,16 +418,8 @@ def load_report(run_dir) -> RunReport:
             ds, _meta = read_dataset_csv(run_dir / f"designs_{alg}_seed{rs}.csv")
             space = ds.space
             summary = summarize_scores(ds.scores).with_normalized(payload["y_min"], payload["y_max"])
-            results.append(
-                AlgoResult(
-                    algorithm=alg,
-                    run_seed=rs,
-                    summary=summary,
-                    scores=ds.scores,
-                    finals_raw=ds.designs,
-                    wall_clock=0.0,
-                )
-            )
+            results.append(AlgoResult(algorithm=alg, run_seed=rs, summary=summary, scores=ds.scores,
+                                      finals_raw=ds.designs, wall_clock=0.0))
     return RunReport(
         config=cfg,
         task_name=payload["task_name"],
@@ -470,21 +444,25 @@ def load_report(run_dir) -> RunReport:
 def _add_common(p: argparse.ArgumentParser):
     d = ExperimentConfig
     p.add_argument("--task", help=f"task name (minibind|ridge|bowl) or dataset CSV path (default {d.task})")
-    p.add_argument("--seed", type=int, help=f"task seed (default {d.task_seed})")
-    p.add_argument("--k", type=float, help=f"bottom-K fraction for the MBO dataset (default {d.k_fraction})")
-    p.add_argument("--out", help="output directory (default $ENSMBO_OUT or ./runs)")
+    p.add_argument("--seed", dest="task_seed", type=int, help=f"task seed (default {d.task_seed})")
+    p.add_argument("--k", dest="k_fraction", type=float,
+                   help=f"bottom-K fraction for the MBO dataset (default {d.k_fraction})")
+    p.add_argument("--out", dest="out_dir", help="output directory (default $ENSMBO_OUT or ./runs)")
 
 
 def _add_training(p: argparse.ArgumentParser):
-    p.add_argument("--m", type=int, help=f"ensemble size (default {ExperimentConfig.ensemble_size})")
+    p.add_argument("--m", dest="ensemble_size", type=int,
+                   help=f"ensemble size (default {ExperimentConfig.ensemble_size})")
     p.add_argument("--epochs", type=int, help=f"training epochs (default {TrainConfig.epochs})")
     p.add_argument("--config", help="JSON config file mirroring ExperimentConfig; flags override it")
 
 
-def _add_ascent(p: argparse.ArgumentParser):
+def _add_ascent(p: argparse.ArgumentParser, combiners: str):
     p.add_argument("--alpha", type=float, help="step size (default: per task)")
     p.add_argument("--steps", type=int, help=f"update steps (default {ExperimentConfig.steps})")
     p.add_argument("--cagrad-c", type=float, help="CAGrad c (default: per task)")
+    p.add_argument("--combiner", dest="algorithms", help=f"comma-separated combiners (default: {combiners})",
+                   type=lambda text: tuple(s.strip() for s in text.split(",") if s.strip()))
 
 
 def _seed_list(text: str) -> tuple:
@@ -512,55 +490,58 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-task", help="materialize task dataset CSVs")
+    gen.set_defaults(handler=cmd_gen_task)
     _add_common(gen)
 
     tr = sub.add_parser("train", help="train and serialize a proxy ensemble")
+    tr.set_defaults(handler=cmd_train)
     _add_common(tr)
     _add_training(tr)
 
     tune = sub.add_parser("tune", help="emit offline tuning trajectories (no oracle access)")
+    tune.set_defaults(handler=cmd_tune)
     _add_common(tune)
     _add_training(tune)
-    _add_ascent(tune)
-    tune.add_argument("--combiner", default="mean", choices=ALGORITHMS, help="combiner (default mean)")
+    _add_ascent(tune, "mean")
     tune.add_argument("--n-trajectories", type=_positive_int, default=4, help="starts to trace (default 4)")
 
     run = sub.add_parser("run", help="full experiment")
+    run.set_defaults(handler=cmd_run)
     _add_common(run)
     _add_training(run)
-    _add_ascent(run)
-    run.add_argument("--combiner", help="comma-separated algorithm subset (default: all five)")
+    _add_ascent(run, "all five")
     run.add_argument("--n-candidates", type=int,
                      help=f"designs per algorithm (default {ExperimentConfig.n_candidates})")
     run.add_argument("--run-seeds", type=_seed_list, help="comma-separated run seeds (default: the task seed)")
 
     rep = sub.add_parser("report", help="re-render a stored run report")
+    rep.set_defaults(handler=cmd_report)
     rep.add_argument("--run-dir", required=True)
     return parser
 
 
-# flag -> the ExperimentConfig field it sets
-_FLAG_FIELDS = {"task": "task", "seed": "task_seed", "k": "k_fraction", "m": "ensemble_size",
-                "out": "out_dir", "alpha": "alpha", "steps": "steps", "cagrad_c": "cagrad_c",
-                "n_candidates": "n_candidates"}
-
-
-def _experiment_config(args) -> ExperimentConfig:
-    """The settings of any command: each flag given, else the ``--config``
-    file, else the ExperimentConfig default."""
+def _experiment_config(args, **command_defaults) -> ExperimentConfig:
+    """The settings of any command: each field from its flag (the one whose
+    ``dest`` is its name), else the ``--config`` file, else
+    ``command_defaults``, else the ExperimentConfig default. ``--epochs``
+    sets ``train.epochs`` and keeps the rest of the file's ``train``."""
+    d = dict(command_defaults)
     if getattr(args, "config", None):
-        cfg = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
-    else:
-        cfg = ExperimentConfig()
-    given = {name: getattr(args, flag) for flag, name in _FLAG_FIELDS.items()
-             if getattr(args, flag, None) is not None}
-    if getattr(args, "combiner", None):
-        given["algorithms"] = tuple(s.strip() for s in args.combiner.split(",") if s.strip())
-    if getattr(args, "run_seeds", None):
-        given["run_seeds"] = args.run_seeds
+        d.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+    d.update({f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+              if getattr(args, f.name, None) is not None})
     if getattr(args, "epochs", None) is not None:
-        given["train"] = replace(cfg.train, epochs=args.epochs)
-    return replace(cfg, **given)
+        d["train"] = dict(d.get("train", {}), epochs=args.epochs)
+    return ExperimentConfig.from_dict(d)
+
+
+def _task_seeded(cfg: ExperimentConfig) -> ExperimentConfig:
+    """``cfg``, unless it names run seeds other than the task seed, which
+    seeds the one ensemble of train and tune."""
+    if cfg.resolved_seeds() != (cfg.task_seed,):
+        raise ValueError(f"run_seeds {list(cfg.run_seeds)} is not used: train and tune seed "
+                         "the proxies with the task seed (--seed)")
+    return cfg
 
 
 def cmd_gen_task(args) -> int:
@@ -578,7 +559,7 @@ def cmd_gen_task(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _experiment_config(args)
+    cfg = _task_seeded(_experiment_config(args))
     task, mbo = _prepare(cfg)
     ens = train_ensemble(mbo, cfg.ensemble_size, replace(cfg.train, seed=cfg.task_seed))
     out = _out_dir(cfg)
@@ -592,26 +573,22 @@ def cmd_train(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    cfg = _experiment_config(args)
-    (combiner,) = cfg.algorithms
+    cfg = _task_seeded(_experiment_config(args, algorithms=("mean",)))
+    # Built before any training, so a bad setting is refused at once.
+    ascent_configs = {alg: cfg.ascent_config(alg, record=True) for alg in cfg.algorithms}
     task, mbo = _prepare(cfg)
     calls_before = task.oracle.calls if task.oracle is not None else 0
-    acfg = AscentConfig(
-        steps=cfg.steps,
-        alpha=cfg.resolved_alpha(),
-        combiner=Combiner(combiner),
-        cagrad_c=cfg.resolved_cagrad_c(),
-        record_trajectory=True,
-    )
     starts = select_top_n(mbo, min(args.n_trajectories, len(mbo)))
     ens = train_ensemble(mbo, cfg.ensemble_size, replace(cfg.train, seed=cfg.task_seed))
-    trajs = _ascend(starts, mbo.space, ens, acfg, task.name, cfg.task_seed)
+    trajs = {alg: _ascend(starts, mbo.space, ens, acfg, task.name, cfg.task_seed)
+             for alg, acfg in ascent_configs.items()}
     out = _out_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    for i, traj in enumerate(trajs):
-        path = out / f"{Path(cfg.task).stem}_trajectory_{combiner}_seed{cfg.task_seed}_{i}.csv"
-        write_trajectory_csv(traj, path)
-        print(f"wrote {path}")
+    for alg, alg_trajs in trajs.items():
+        for i, traj in enumerate(alg_trajs):
+            path = out / f"{Path(cfg.task).stem}_trajectory_{alg}_seed{cfg.task_seed}_{i}.csv"
+            write_trajectory_csv(traj, path)
+            print(f"wrote {path}")
     calls_after = task.oracle.calls if task.oracle is not None else 0
     if calls_after != calls_before:
         raise RuntimeError("tuning touched the oracle; offline protocol violated")
@@ -643,15 +620,8 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse prints usage itself
         return int(exc.code) if exc.code else 0
-    handlers = {
-        "gen-task": cmd_gen_task,
-        "train": cmd_train,
-        "tune": cmd_tune,
-        "run": cmd_run,
-        "report": cmd_report,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

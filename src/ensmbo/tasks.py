@@ -30,7 +30,6 @@ from .core import (
     DesignSpace,
     check_designs,
     read_dataset_csv,
-    stats_from_designs,
     write_dataset_csv,
 )
 
@@ -89,12 +88,11 @@ def _seeded_task(name: str, designs, scores, score_one, params: dict,
                  space: DesignSpace | None = None) -> TaskSpec:
     """A task over its total dataset, scored by ``score_one``.
 
-    Without ``space`` the designs are continuous and normalized with the
-    total dataset's statistics.
+    Without ``space`` the designs are continuous, with the identity
+    statistics: a run normalizes with its MBO set's (``harness._prepare``).
     """
     if space is None:
-        mean, std = stats_from_designs(designs)
-        space = DesignSpace.continuous(designs.shape[1], mean=mean, std=std)
+        space = DesignSpace.continuous(designs.shape[1])
     return TaskSpec(name=name, space=space, oracle=Oracle(fn=score_one),
                     y_min=float(scores.min()), y_max=float(scores.max()), params=params,
                     _total=Dataset(space=space, designs=designs, scores=scores))

@@ -692,3 +692,105 @@ def test_ascent_failure_names_task_and_run_seed(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert re.fullmatch(r"error: task bowl, run seed 2: trajectory 0 failed at step 0 \(mgda\): "
                         rf"MGDA dual did not converge {residual}\n", err)
+
+
+# ---------------------------------------------------------------------------
+# one source per setting and per statistic
+# ---------------------------------------------------------------------------
+
+def test_every_flag_is_its_config_field():
+    import argparse
+    from dataclasses import fields
+
+    allowed = {f.name for f in fields(ExperimentConfig)} | {
+        "help", "config", "epochs", "n_trajectories", "run_dir", "handler"}
+    (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            assert action.dest in allowed, (name, action.option_strings, action.dest)
+
+
+TUNE_ARGV = ["tune", "--task", "bowl", "--seed", "1", "--m", "2", "--epochs", "1", "--steps", "2",
+             "--n-trajectories", "2"]
+
+
+def _tune_files(out):
+    return sorted(p.name for p in out.glob("*.csv"))
+
+
+def test_tune_takes_its_combiners_from_the_config_file(tmp_path):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"algorithms": ["mgda"]}))
+    out = tmp_path / "out"
+    assert cli_main(TUNE_ARGV + ["--config", str(cfg_path), "--out", str(out)]) == 0
+    assert _tune_files(out) == [f"bowl_trajectory_mgda_seed1_{i}.csv" for i in range(2)]
+
+
+def test_tune_defaults_to_mean_and_traces_every_named_combiner(tmp_path):
+    assert cli_main(TUNE_ARGV + ["--out", str(tmp_path / "default")]) == 0
+    assert _tune_files(tmp_path / "default") == [f"bowl_trajectory_mean_seed1_{i}.csv" for i in range(2)]
+    both = tmp_path / "both"
+    assert cli_main(TUNE_ARGV + ["--combiner", "mean,cagrad", "--out", str(both)]) == 0
+    assert _tune_files(both) == [f"bowl_trajectory_{alg}_seed1_{i}.csv"
+                                 for alg in ("cagrad", "mean") for i in range(2)]
+    assert cli_main(TUNE_ARGV + ["--combiner", "cagrad", "--out", str(tmp_path / "one")]) == 0
+    for single in ("default", "one"):  # one ensemble traces each combiner as a run of it alone does
+        for path in (tmp_path / single).glob("*.csv"):
+            assert (both / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("combiners, error", [
+    ("nope", f"unknown algorithms ['nope']; choose from {list(ALGORITHMS)}"),
+    ("mean,mean", "algorithms (--combiner) repeats 'mean'; give each once"),
+    ("", "need at least one algorithm"),
+])
+def test_tune_refuses_a_bad_combiner_list_before_training(combiners, error, tmp_path, capsys,
+                                                          no_training):
+    assert cli_main(TUNE_ARGV + ["--combiner", combiners, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "tune"])
+@pytest.mark.parametrize("run_seeds", [[5], [0, 1]])
+def test_train_and_tune_refuse_run_seeds_before_the_task_is_built(command, run_seeds, tmp_path, capsys,
+                                                                  monkeypatch, no_training):
+    import ensmbo.harness as harness
+
+    def get_task(*args):
+        raise AssertionError("built the task before the settings were checked")
+
+    monkeypatch.setattr(harness, "get_task", get_task)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"run_seeds": run_seeds}))
+    out = tmp_path / "out"
+    assert cli_main([command, "--task", "bowl", "--m", "2", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: run_seeds {run_seeds} is not used: train and tune seed "
+                                       "the proxies with the task seed (--seed)\n")
+    assert not out.exists()
+
+
+def test_persist_writes_null_for_any_nonfinite_metric(tmp_path):
+    cfg = fast_config(algorithms=("mean",), steps=1)
+    report = replace(run_experiment(cfg), val_metrics={1: [(0.25, float("inf")), (float("nan"), 0.5)]})
+    persist_report(report, cfg, tmp_path / "run")
+    payload = _strict_json(tmp_path / "run" / "results.json")
+    assert payload["val_metrics"] == {"1": [[0.25, None], [None, 0.5]]}
+
+
+@pytest.mark.parametrize("source", ["ridge", "csv"])
+def test_only_the_mbo_set_normalizes_a_run(source, tmp_path):
+    from ensmbo.core import stats_from_designs
+    from ensmbo.harness import _prepare
+
+    if source == "ridge":
+        task, space = "ridge", get_task("ridge", 0).space
+    else:
+        task = str(_csv_task(tmp_path / "data.csv", np.linspace(0.0, 1.0, 40)))
+        space = read_dataset_csv(task)[0].space
+    assert space.mean.tobytes() == np.zeros(space.dim).tobytes()
+    assert space.std.tobytes() == np.ones(space.dim).tobytes()
+    _, mbo = _prepare(ExperimentConfig(task=task))
+    mean, std = stats_from_designs(mbo.designs)
+    assert (mbo.space.mean.tobytes(), mbo.space.std.tobytes()) == (mean.tobytes(), std.tobytes())
+    assert not np.array_equal(mbo.space.std, np.ones(space.dim))
