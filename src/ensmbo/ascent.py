@@ -91,12 +91,11 @@ def _ascend_rows(X: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentCo
     """The update loop over the rows of X (B, n), in the optimization
     representation, all rows in lockstep.
 
-    Each step evaluates every member at every row at once and combines each
+    Each step evaluates the members at every row at once and combines each
     row's gradients with the per-point combiner's arithmetic, warm-starting
-    MGDA and CAGrad from the row's weights of the step before.  An
-    unrecorded single-model run evaluates member 0 alone.  The first failing
-    step raises RuntimeError naming its lowest failing row, the step and the
-    combiner, chained to the row's cause.
+    MGDA and CAGrad from the row's weights of the step before.  The first
+    failing step raises RuntimeError naming its lowest failing row, the step
+    and the combiner, chained to the row's cause.
     """
     record = cfg.record_trajectory
     only_first = cfg.combiner is Combiner.SINGLE and not record
@@ -160,26 +159,19 @@ def _ascend_rows(X: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentCo
     return out
 
 
-def ascend(start: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentConfig) -> Trajectory:
-    """Run the update loop from one raw starting design: ``ascend_batch`` of
-    one, with its errors.
+def ascend_batch(starts, space: DesignSpace, ens: Ensemble, cfg: AscentConfig) -> list[Trajectory]:
+    """Independent trajectories from many raw starts, advanced in lockstep;
+    order preserved, and each equal to the one its start takes alone.
 
     The single-model combiner uses ensemble member 0.  A recorded run
     still evaluates every member, records all their predictions for tuning
     plots and fails on any member's non-finite output; without recording
     only member 0 is evaluated, so only member 0 can fail a ``single`` row.
-    """
-    return ascend_batch([start], space, ens, cfg)[0]
-
-
-def ascend_batch(starts, space: DesignSpace, ens: Ensemble, cfg: AscentConfig) -> list[Trajectory]:
-    """Independent trajectories from many raw starts, advanced in lockstep;
-    order preserved, and each equal to its own ``ascend``.  Every failure
-    raises RuntimeError chained to its cause: "trajectory i failed: ..." for
-    a start that ``core.check_designs`` refuses or an ensemble whose input
-    dimension does not match the space (i = 0), and "trajectory i failed at
-    step k (combiner): ..." for the lowest failing row of the first failing
-    step.  An empty list of starts raises ValueError."""
+    Every failure raises RuntimeError chained to its cause: "trajectory i
+    failed: ..." for a start that ``core.check_designs`` refuses or an
+    ensemble whose input dimension does not match the space (i = 0), and
+    "trajectory i failed at step k (combiner): ..." for the lowest failing
+    row of the first failing step.  No starts raise ValueError."""
     starts = list(starts)
     if not starts:
         raise ValueError("no starting designs")

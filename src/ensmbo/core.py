@@ -189,26 +189,15 @@ def stats_from_designs(designs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ScoreSummary:
-    """Max / nearest-rank 50th percentile / mean of a score set.
-
-    Raw task units always; normalized values are filled in by
-    ``with_normalized`` against the task's total-dataset extremes.
-    """
+    """Max / nearest-rank 50th percentile / mean of a score set, in raw task
+    units and normalized against the task's total-dataset extremes."""
 
     max: float
     p50: float
     mean: float
-    max_norm: float | None = None
-    p50_norm: float | None = None
-    mean_norm: float | None = None
-
-    def with_normalized(self, y_min: float, y_max: float) -> "ScoreSummary":
-        return replace(
-            self,
-            max_norm=normalize_score(self.max, y_min, y_max),
-            p50_norm=normalize_score(self.p50, y_min, y_max),
-            mean_norm=normalize_score(self.mean, y_min, y_max),
-        )
+    max_norm: float
+    p50_norm: float
+    mean_norm: float
 
 
 def normalize_score(y: float, y_min: float, y_max: float) -> float:
@@ -221,23 +210,18 @@ def normalize_score(y: float, y_min: float, y_max: float) -> float:
     return (y - y_min) / (y_max - y_min)
 
 
-def nearest_rank_p50(ys: np.ndarray) -> float:
-    """The ceil(0.5*n)-th smallest value."""
-    ys = np.asarray(ys, dtype=np.float64)
-    n = ys.shape[0]
-    if n == 0:
-        raise ValueError("empty score list")
-    k = math.ceil(0.5 * n)
-    return float(np.sort(ys)[k - 1])
-
-
-def summarize_scores(ys) -> ScoreSummary:
+def summarize_scores(ys, y_min: float, y_max: float) -> ScoreSummary:
+    """The summary of raw scores ``ys``, normalized against [y_min, y_max].
+    The p50 is the ceil(0.5*n)-th smallest score."""
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 1 or ys.shape[0] == 0:
         raise ValueError("summarize_scores needs a non-empty 1-D score list")
     if not np.all(np.isfinite(ys)):
         raise ValueError("scores must be finite")
-    return ScoreSummary(max=float(ys.max()), p50=nearest_rank_p50(ys), mean=float(ys.mean()))
+    p50 = float(np.sort(ys)[math.ceil(0.5 * ys.shape[0]) - 1])
+    raw = {"max": float(ys.max()), "p50": p50, "mean": float(ys.mean())}
+    norm = {f"{k}_norm": normalize_score(v, y_min, y_max) for k, v in raw.items()}
+    return ScoreSummary(**raw, **norm)
 
 
 # ---------------------------------------------------------------------------

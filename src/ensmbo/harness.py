@@ -124,15 +124,24 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        """The config of a JSON object, refusing a field of the wrong JSON type."""
         d = dict(d)
-        train = d.pop("train", {})
-        if isinstance(train, dict):
-            train = dict(train)
-            train["hidden"] = tuple(train.get("hidden", TrainConfig().hidden))
-            train = TrainConfig(**train)
-        d["algorithms"] = tuple(d.get("algorithms", ALGORITHMS))
-        d["run_seeds"] = tuple(d.get("run_seeds", ()))
-        return ExperimentConfig(train=train, **d)
+        train = dict(_json_field(d, "train", dict, {}))
+        train["hidden"] = tuple(_json_field(train, "hidden", list, TrainConfig.hidden, "train."))
+        d["train"] = TrainConfig(**train)
+        d["algorithms"] = tuple(_json_field(d, "algorithms", list, ALGORITHMS))
+        d["run_seeds"] = tuple(_json_field(d, "run_seeds", list, ()))
+        return ExperimentConfig(**d)
+
+
+def _json_field(d: dict, name: str, kind: type, default, prefix: str = ""):
+    """``d[name]``, or ``default`` if it is absent; ValueError naming the
+    field and its JSON value unless it is a ``kind`` (a tuple is a list)."""
+    value = d.get(name, default)
+    if not isinstance(value, (list, tuple) if kind is list else kind):
+        what = "a JSON list" if kind is list else "a JSON object"
+        raise ValueError(f"{prefix}{name} must be {what}, got {json.dumps(value)}")
+    return value
 
 
 @dataclass(eq=False)
@@ -183,7 +192,7 @@ def _prepare(cfg: ExperimentConfig):
     if cfg.task in TASK_REGISTRY:
         task = get_task(cfg.task, cfg.task_seed)
     elif Path(cfg.task).suffix == ".csv" and Path(cfg.task).exists():
-        task, _ = ingest_csv(Path(cfg.task))
+        task = ingest_csv(Path(cfg.task))
     else:
         raise ValueError(f"unknown task '{cfg.task}' (not a registry name or CSV path)")
     mbo = select_bottom_fraction(task.total_dataset(), cfg.k_fraction)
@@ -237,7 +246,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                 scores = np.asarray(evaluate_oracle(task, finals))
             else:
                 scores = _proxy_scores(finals, mbo.space, ens)
-            summary = summarize_scores(scores).with_normalized(task.y_min, task.y_max)
+            summary = summarize_scores(scores, task.y_min, task.y_max)
             results.append(AlgoResult(algorithm=alg, run_seed=rs, summary=summary, scores=scores,
                                       finals_raw=finals, wall_clock=time.perf_counter() - a0))
 
@@ -370,9 +379,7 @@ def run_dir_for(cfg: ExperimentConfig) -> Path:
     return _out_dir(cfg) / f"{Path(cfg.task).stem}-s{cfg.task_seed}"
 
 
-def persist_report(report: RunReport, cfg: ExperimentConfig, run_dir: Path) -> None:
-    if cfg != report.config:  # load_report finds the design CSVs through the stored config
-        raise ValueError("persist_report needs the configuration the report ran")
+def persist_report(report: RunReport, run_dir: Path) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
     for r in report.results:
         path = run_dir / f"designs_{r.algorithm}_seed{r.run_seed}.csv"
@@ -381,14 +388,14 @@ def persist_report(report: RunReport, cfg: ExperimentConfig, run_dir: Path) -> N
     for rs, ens in report.ensembles.items():
         save_ensemble(ens, run_dir / f"ensemble_seed{rs}.bin")
     payload = {
-        "config": asdict(cfg),
+        "config": asdict(report.config),
         "task_name": report.task_name,
         "y_min": report.y_min,
         "y_max": report.y_max,
         "baseline_norm": report.baseline_norm,
         "proxy_only": report.proxy_only,
-        "algorithms": list(cfg.algorithms),
-        "run_seeds": list(cfg.resolved_seeds()),
+        "algorithms": list(report.config.algorithms),
+        "run_seeds": list(report.config.resolved_seeds()),
         "alpha": report.alpha,
         "cagrad_c": report.cagrad_c,
         "oracle_calls": report.oracle_calls,
@@ -417,7 +424,7 @@ def load_report(run_dir) -> RunReport:
         for rs in cfg.resolved_seeds():
             ds, _meta = read_dataset_csv(run_dir / f"designs_{alg}_seed{rs}.csv")
             space = ds.space
-            summary = summarize_scores(ds.scores).with_normalized(payload["y_min"], payload["y_max"])
+            summary = summarize_scores(ds.scores, payload["y_min"], payload["y_max"])
             results.append(AlgoResult(algorithm=alg, run_seed=rs, summary=summary, scores=ds.scores,
                                       finals_raw=ds.designs, wall_clock=0.0))
     return RunReport(
@@ -527,11 +534,17 @@ def _experiment_config(args, **command_defaults) -> ExperimentConfig:
     sets ``train.epochs`` and keeps the rest of the file's ``train``."""
     d = dict(command_defaults)
     if getattr(args, "config", None):
-        d.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        try:
+            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"--config {args.config} is not JSON: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ValueError(f"--config {args.config} is not a JSON object: {json.dumps(loaded)}")
+        d.update(loaded)
     d.update({f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
               if getattr(args, f.name, None) is not None})
     if getattr(args, "epochs", None) is not None:
-        d["train"] = dict(d.get("train", {}), epochs=args.epochs)
+        d["train"] = dict(_json_field(d, "train", dict, {}), epochs=args.epochs)
     return ExperimentConfig.from_dict(d)
 
 
@@ -554,7 +567,7 @@ def cmd_gen_task(args) -> int:
     export_task_csv(task, total_path)
     mbo_path = out / f"{name}_mbo.csv"
     write_dataset_csv(mbo, mbo_path, task.y_min, task.y_max)
-    print(f"wrote {total_path} ({task.total_size} rows) and {mbo_path} ({len(mbo)} rows)")
+    print(f"wrote {total_path} ({len(task.total_dataset())} rows) and {mbo_path} ({len(mbo)} rows)")
     return 0
 
 
@@ -600,7 +613,7 @@ def cmd_run(args) -> int:
     cfg = _experiment_config(args)
     report = run_experiment(cfg)
     run_dir = run_dir_for(cfg)
-    persist_report(report, cfg, run_dir)
+    persist_report(report, run_dir)
     print(report_markdown(report))
     print(f"artifacts in {run_dir}")
     return 0

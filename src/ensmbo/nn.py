@@ -38,7 +38,7 @@ class MlpModel:
     ``weights[l]`` has shape (fan_in, fan_out); biases are 1-D. Validation
     metrics from training (best epoch) ride along for reporting.  Input
     gradients have one entry, ``value_and_grad_rows``, which evaluates
-    each row as a single point; a single point is its one-row case.
+    each row as a single point.
     """
 
     weights: list
@@ -50,16 +50,13 @@ class MlpModel:
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    def _check_input(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.input_dim,):
             raise ValueError(f"input has shape {x.shape}, model expects ({self.input_dim},)")
         if not np.all(np.isfinite(x)):
             raise ValueError("input must be finite")
-        return x
-
-    def forward(self, x: np.ndarray) -> float:
-        out, _ = mlp_forward(self.weights, self.biases, self._check_input(x))
+        out, _ = mlp_forward(self.weights, self.biases, x)
         return float(out[0])
 
     def forward_batch(self, X: np.ndarray) -> np.ndarray:
@@ -67,12 +64,6 @@ class MlpModel:
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError("batch has wrong shape")
         return mlp_forward(self.weights, self.biases, X)[0][:, 0]
-
-    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Scalar output and its gradient wrt the input: the one-row case of
-        ``value_and_grad_rows``."""
-        vals, grads = self.value_and_grad_rows(self._check_input(x)[None])
-        return float(vals[0]), grads[0]
 
     def value_and_grad_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Outputs (B,) and their exact reverse-mode gradients (B, n) wrt the
@@ -86,9 +77,6 @@ class MlpModel:
         out, acts = mlp_forward(self.weights, self.biases, X[:, None, :])
         delta = mlp_backward(self.weights, acts, np.ones_like(out))[0]
         return out[:, 0, 0], _times_transpose(delta, self.weights[0])[:, 0]
-
-    def input_gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.value_and_grad(x)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +275,6 @@ def _fit(X, y, X_val, y_val, cfg: TrainConfig, rng: np.random.Generator) -> MlpM
     except ValueError:
         model.val_spearman = float("nan")  # constant validation targets
     return model
-
-
-def train(data: Dataset, cfg: TrainConfig) -> MlpModel:
-    """Supervised regression on a dataset; seeded and deterministic.  It is
-    the model of a one-member ``train_ensemble``."""
-    return train_ensemble(data, 1, cfg).models[0]
 
 
 def train_ensemble(data: Dataset, m: int, cfg: TrainConfig) -> Ensemble:

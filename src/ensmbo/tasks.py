@@ -45,9 +45,6 @@ class Oracle:
     def calls(self) -> int:
         return self._calls
 
-    def reset_calls(self) -> None:
-        self._calls = 0
-
     def score(self, design: np.ndarray) -> float:
         self._calls += 1
         return float(self.fn(design))
@@ -68,10 +65,6 @@ class TaskSpec:
     def __post_init__(self):
         if not (self.y_min < self.y_max):
             raise ValueError("task needs y_min < y_max")
-
-    @property
-    def total_size(self) -> int:
-        return len(self.total_dataset())
 
     def total_dataset(self) -> Dataset:
         return self._total
@@ -245,14 +238,14 @@ def export_task_csv(task: TaskSpec, csv_path) -> None:
     write_dataset_csv(task.total_dataset(), csv_path, task.y_min, task.y_max)
 
 
-def ingest_csv(csv_path) -> tuple[TaskSpec, Dataset]:
+def ingest_csv(csv_path) -> TaskSpec:
     """Load an external dataset; the resulting task carries no oracle.
 
     Oracle-requiring operations raise for such tasks; the harness falls
     back to proxy-predicted scores flagged as unverified.
     """
     ds, meta = read_dataset_csv(csv_path)
-    task = TaskSpec(
+    return TaskSpec(
         name=f"external:{csv_path}",
         space=ds.space,
         oracle=None,
@@ -260,4 +253,3 @@ def ingest_csv(csv_path) -> tuple[TaskSpec, Dataset]:
         y_max=float(meta["y_max_total"]),
         _total=ds,
     )
-    return task, ds

@@ -68,8 +68,8 @@ def reference_ascent(start, space, ens, cfg):
     warm = None
     xs, preds, d_norms = [], [], []
     for k in range(cfg.steps + 1):
-        evals = [mdl.value_and_grad(x) for mdl in ens.models]
-        gs = GradientSet(grads=np.array([g for _, g in evals]), values=np.array([v for v, _ in evals]))
+        evals = [mdl.value_and_grad_rows(x[None]) for mdl in ens.models]
+        gs = GradientSet(grads=np.array([g[0] for _, g in evals]), values=np.array([v[0] for v, _ in evals]))
         if cfg.combiner is Combiner.SINGLE:
             d = gs.grads[0].copy()
         elif cfg.combiner is Combiner.MEAN:
@@ -135,7 +135,7 @@ def reference_train_arrays(X, y, cfg, X_val=None, y_val=None) -> MlpModel:
     """One proxy's training as one Adam loop per parameter array and one
     finiteness check per array, every product allocating its result.
     Given validation arrays it is `nn._fit` seeded ``cfg.seed``; without
-    them it first carves the one-member 90/10 split of `nn.train`."""
+    them it first carves the 90/10 split of a one-member `nn.train_ensemble`."""
     from ensmbo.nn import init_mlp, spearman
 
     X = np.asarray(X, dtype=np.float64)

@@ -5,7 +5,6 @@ from ensmbo.ascent import (
     AscentConfig,
     Combiner,
     _ModelBank,
-    ascend,
     ascend_batch,
     write_trajectory_csv,
 )
@@ -57,7 +56,7 @@ def test_harden_rejects_nonfinite_and_bad_shape():
 
 
 # ---------------------------------------------------------------------------
-# ascend on continuous spaces
+# ascent on continuous spaces
 # ---------------------------------------------------------------------------
 
 def test_single_step_mean_combiner_closed_form():
@@ -66,7 +65,7 @@ def test_single_step_mean_combiner_closed_form():
     ens = Ensemble(models=models)
     start = np.array([1.0, -1.0])
     cfg = AscentConfig(steps=1, alpha=0.5, combiner=Combiner.MEAN)
-    traj = ascend(start, space, ens, cfg)
+    traj = ascend_batch([start], space, ens, cfg)[0]
     assert np.array_equal(traj.final, start + 0.5 * np.array([0.5, 1.0]))
 
 
@@ -74,7 +73,7 @@ def test_zero_gradients_are_a_fixed_point():
     space = identity_space(3)
     ens = Ensemble(models=[zero_model(3), zero_model(3)])
     start = np.array([0.5, -0.25, 2.0])
-    traj = ascend(start, space, ens, AscentConfig(steps=5, alpha=1.0, combiner=Combiner.MGDA))
+    traj = ascend_batch([start], space, ens, AscentConfig(steps=5, alpha=1.0, combiner=Combiner.MGDA))[0]
     assert np.allclose(traj.final, start)
 
 
@@ -82,7 +81,7 @@ def test_zero_steps_returns_start():
     space = identity_space(2)
     ens = Ensemble(models=[linear_model([1.0, 1.0])])
     start = np.array([0.3, 0.7])
-    traj = ascend(start, space, ens, AscentConfig(steps=0, alpha=0.1, combiner=Combiner.MEAN))
+    traj = ascend_batch([start], space, ens, AscentConfig(steps=0, alpha=0.1, combiner=Combiner.MEAN))[0]
     assert np.allclose(traj.final, start)
 
 
@@ -91,7 +90,7 @@ def test_continuous_normalization_round_trip_in_ascent():
     # model sees normalized inputs; gradient in normalized space is w
     ens = Ensemble(models=[linear_model([1.0, 0.0])])
     start = np.array([1.0, -1.0])  # normalizes to the origin
-    traj = ascend(start, space, ens, AscentConfig(steps=1, alpha=1.0, combiner=Combiner.SINGLE))
+    traj = ascend_batch([start], space, ens, AscentConfig(steps=1, alpha=1.0, combiner=Combiner.SINGLE))[0]
     # one normalized step of (1,0) de-normalizes to sigma scaling
     assert np.allclose(traj.final, [1.0 + 2.0, -1.0])
 
@@ -101,7 +100,7 @@ def test_gradient_normalization_flag_off_by_default():
     models = [linear_model([4.0, 0.0]), linear_model([0.0, 1.0])]
     ens = Ensemble(models=models)
     start = np.zeros(2)
-    plain = ascend(start, space, ens, AscentConfig(steps=1, alpha=1.0, combiner=Combiner.MEAN))
+    plain = ascend_batch([start], space, ens, AscentConfig(steps=1, alpha=1.0, combiner=Combiner.MEAN))[0]
     assert np.array_equal(plain.final, [2.0, 0.5])  # raw mean of (4,0) and (0,1)
 
 
@@ -110,8 +109,8 @@ def test_mean_on_single_model_equals_single_combiner():
     rng = np.random.default_rng(0)
     ens = Ensemble(models=[init_mlp(3, (8,), rng)])
     start = rng.standard_normal(3)
-    a = ascend(start, space, ens, AscentConfig(steps=7, alpha=0.1, combiner=Combiner.MEAN))
-    b = ascend(start, space, ens, AscentConfig(steps=7, alpha=0.1, combiner=Combiner.SINGLE))
+    a = ascend_batch([start], space, ens, AscentConfig(steps=7, alpha=0.1, combiner=Combiner.MEAN))[0]
+    b = ascend_batch([start], space, ens, AscentConfig(steps=7, alpha=0.1, combiner=Combiner.SINGLE))[0]
     assert np.array_equal(a.final, b.final)
 
 
@@ -122,8 +121,8 @@ def test_unrecorded_single_evaluates_member_0_only():
     bad = MlpModel(weights=[np.full((3, 1), np.nan)], biases=[np.zeros(1)])
     start = rng.standard_normal(3)
     cfg = AscentConfig(steps=6, alpha=0.1, combiner=Combiner.SINGLE)
-    want = ascend(start, space, Ensemble(models=[good]), cfg)
-    got = ascend(start, space, Ensemble(models=[good, bad]), cfg)
+    want = ascend_batch([start], space, Ensemble(models=[good]), cfg)[0]
+    got = ascend_batch([start], space, Ensemble(models=[good, bad]), cfg)[0]
     assert np.array_equal(got.final, want.final)
     batch = ascend_batch([start, start], space, Ensemble(models=[good, bad]), cfg)
     assert all(np.array_equal(t.final, want.final) for t in batch)
@@ -131,7 +130,7 @@ def test_unrecorded_single_evaluates_member_0_only():
     recorded = AscentConfig(steps=6, alpha=0.1, combiner=Combiner.SINGLE, record_trajectory=True)
     with pytest.raises(RuntimeError,
                        match=r"^trajectory 0 failed at step 0 \(single\): non-finite model output$") as info:
-        ascend(start, space, Ensemble(models=[good, bad]), recorded)
+        ascend_batch([start], space, Ensemble(models=[good, bad]), recorded)
     assert type(info.value.__cause__) is FloatingPointError
 
 
@@ -154,7 +153,7 @@ def test_discrete_zero_gradient_returns_start_hardened():
     space = DesignSpace.discrete(2, 3)
     ens = Ensemble(models=[zero_model(space.flat_dim)])
     start = np.array([2, 0])
-    traj = ascend(start, space, ens, AscentConfig(steps=4, alpha=1.0, combiner=Combiner.MEAN))
+    traj = ascend_batch([start], space, ens, AscentConfig(steps=4, alpha=1.0, combiner=Combiner.MEAN))[0]
     assert traj.final.dtype == np.int64
     assert np.array_equal(traj.final, start)
 
@@ -165,10 +164,10 @@ def test_discrete_refuses_onehot_start():
     cfg = AscentConfig(steps=1, alpha=1.0, combiner=Combiner.MEAN)
     with pytest.raises(RuntimeError, match=r"^trajectory 0 failed: designs have shape \(1, 4\), "
                                            r"the space expects \(N, 2\) raw tokens$") as info:
-        ascend(encode([[1, 0]], space)[0], space, ens, cfg)
+        ascend_batch([encode([[1, 0]], space)[0]], space, ens, cfg)
     assert type(info.value.__cause__) is ValueError
     with pytest.raises(RuntimeError, match="^trajectory 0 failed: .*integer tokens; harden") as info:
-        ascend(np.array([0.5, 1.0]), space, ens, cfg)
+        ascend_batch([np.array([0.5, 1.0])], space, ens, cfg)
     assert type(info.value.__cause__) is ValueError
 
 
@@ -183,7 +182,7 @@ def test_bad_start_tokens_are_refused(start, cause):
     ens = Ensemble(models=[zero_model(space.flat_dim)])
     cfg = AscentConfig(steps=0, alpha=1.0, combiner=Combiner.MEAN)
     with pytest.raises(RuntimeError, match=f"^trajectory 0 failed: .*{cause}") as info:
-        ascend(start, space, ens, cfg)
+        ascend_batch([start], space, ens, cfg)
     assert type(info.value.__cause__) is ValueError
     with pytest.raises(RuntimeError, match=f"^trajectory 1 failed: .*{cause}"):
         ascend_batch([[0, 0], start], space, ens, cfg)
@@ -210,9 +209,9 @@ def test_bank_rows_match_each_member_bitwise():
             assert vals.shape == (n_rows, len(models)) and grads.shape == (n_rows, len(models), dim)
             for r, x in enumerate(X):
                 for i, mdl in enumerate(models):
-                    val, grad = mdl.value_and_grad(x)
-                    assert vals[r, i] == val
-                    assert np.array_equal(grads[r, i], grad)
+                    val, grad = mdl.value_and_grad_rows(x[None])
+                    assert vals[r, i] == val[0]
+                    assert np.array_equal(grads[r, i], grad[0])
         point_vals, point_grads = bank.value_and_grad(X[0])
         assert np.array_equal(point_vals, vals[0]) and np.array_equal(point_grads, grads[0])
 
@@ -230,7 +229,7 @@ def test_ascend_is_deterministic_and_batch_matches_single():
                        record_trajectory=True)
     batch = ascend_batch(starts, space, ens, cfg)
     for start, traj in zip(starts, batch):
-        solo = ascend(start, space, ens, cfg)
+        solo = ascend_batch([start], space, ens, cfg)[0]
         assert np.array_equal(solo.final, traj.final)
         assert np.array_equal(solo.xs, traj.xs)
         assert np.array_equal(solo.preds, traj.preds)
@@ -260,7 +259,7 @@ def test_input_dim_mismatch_errors():
     cfg = AscentConfig(steps=1, alpha=0.1, combiner=Combiner.MEAN)
     with pytest.raises(RuntimeError,
                        match=r"^trajectory 0 failed: ensemble input_dim does not match the space$") as info:
-        ascend(np.zeros(2), identity_space(2), ens, cfg)
+        ascend_batch([np.zeros(2)], identity_space(2), ens, cfg)
     assert type(info.value.__cause__) is ValueError
     with pytest.raises(RuntimeError, match=r"^trajectory 0 failed: ensemble input_dim does not match the space$"):
         ascend_batch([np.zeros(2), np.zeros(3)], identity_space(2), ens, cfg)
@@ -279,7 +278,7 @@ def test_nonfinite_abort_names_step():
     ens = Ensemble(models=[big])
     cfg = AscentConfig(steps=5, alpha=1e300, combiner=Combiner.MEAN)
     with pytest.raises((FloatingPointError, RuntimeError), match="step"):
-        ascend(np.array([1.0, 1.0]), space, ens, cfg)
+        ascend_batch([np.array([1.0, 1.0])], space, ens, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +290,7 @@ def test_recording_has_steps_plus_one_states():
     rng = np.random.default_rng(5)
     ens = Ensemble(models=[init_mlp(2, (6,), rng) for _ in range(3)])
     cfg = AscentConfig(steps=8, alpha=0.05, combiner=Combiner.MEAN, record_trajectory=True)
-    traj = ascend(rng.standard_normal(2), space, ens, cfg)
+    traj = ascend_batch([rng.standard_normal(2)], space, ens, cfg)[0]
     assert traj.xs.shape == (9, 2)
     assert traj.preds.shape == (9, 3)
     assert traj.d_norms.shape == (9,)
@@ -303,14 +302,14 @@ def test_trajectory_csv_format(tmp_path):
     rng = np.random.default_rng(6)
     ens = Ensemble(models=[init_mlp(2, (4,), rng) for _ in range(2)])
     cfg = AscentConfig(steps=3, alpha=0.1, combiner=Combiner.MEAN, record_trajectory=True)
-    traj = ascend(rng.standard_normal(2), space, ens, cfg)
+    traj = ascend_batch([rng.standard_normal(2)], space, ens, cfg)[0]
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,pred_1,pred_2,d_norm"
     assert len(lines) == 5  # header + T+1 states
-    unrecorded = ascend(rng.standard_normal(2), space, ens,
-                        AscentConfig(steps=1, alpha=0.1, combiner=Combiner.MEAN))
+    unrecorded = ascend_batch([rng.standard_normal(2)], space, ens,
+                              AscentConfig(steps=1, alpha=0.1, combiner=Combiner.MEAN))[0]
     with pytest.raises(ValueError):
         write_trajectory_csv(unrecorded, path)
 
@@ -339,7 +338,7 @@ def test_cagrad_converges_to_average_stationary_point():
     space = identity_space(3)
     start = targets.mean(axis=0) + np.array([2.0, -1.5, 1.0])
     cfg = AscentConfig(steps=2000, alpha=0.05, combiner=Combiner.CAGRAD, cagrad_c=0.5)
-    traj = ascend(start, space, ens, cfg)
+    traj = ascend_batch([start], space, ens, cfg)[0]
     avg_grad = np.mean([m.input_gradient(traj.final) for m in ens.models], axis=0)
     assert np.linalg.norm(avg_grad) < 1e-3
 
@@ -351,7 +350,7 @@ def test_mgda_reaches_pareto_stationary_point():
     space = identity_space(2)
     start = targets.mean(axis=0) + np.array([4.0, 3.0])
     cfg = AscentConfig(steps=2000, alpha=0.05, combiner=Combiner.MGDA, record_trajectory=True)
-    traj = ascend(start, space, ens, cfg)
+    traj = ascend_batch([start], space, ens, cfg)[0]
     # the recorded final d is the min-norm point of the gradient hull
     assert traj.d_norms[-1] < 1e-3
 
@@ -377,7 +376,7 @@ def test_batch_equals_solo_and_per_point_ascent_bitwise(combiner, discrete):
     cfg = AscentConfig(steps=12, alpha=0.3, combiner=combiner, cagrad_c=0.4, record_trajectory=True)
     batch = ascend_batch(starts, space, ens, cfg)
     for start, traj in zip(starts, batch):
-        solo = ascend(start, space, ens, cfg)
+        solo = ascend_batch([start], space, ens, cfg)[0]
         for name in ("final", "xs", "preds", "d_norms"):
             assert np.array_equal(getattr(traj, name), getattr(solo, name)), name
         final, xs, preds, d_norms = reference_ascent(start, space, ens, cfg)
@@ -420,9 +419,9 @@ def test_batch_failure_names_lowest_row_step_and_combiner():
         ascend_batch(starts, identity_space(2), ens, cfg)
     with pytest.raises(RuntimeError,
                        match=r"^trajectory 0 failed at step 3 \(mean\): non-finite model output$") as info:
-        ascend(starts[2], identity_space(2), ens, cfg)
+        ascend_batch([starts[2]], identity_space(2), ens, cfg)
     assert type(info.value.__cause__) is FloatingPointError
-    assert ascend(starts[0], identity_space(2), ens, cfg).final[0] == 5.0
+    assert ascend_batch([starts[0]], identity_space(2), ens, cfg)[0].final[0] == 5.0
 
 
 def test_batch_solver_failure_keeps_residual(monkeypatch):

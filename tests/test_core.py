@@ -69,12 +69,12 @@ def test_normalize_affine_invariance(y, lo, width, scale, shift):
 # ---------------------------------------------------------------------------
 
 def test_summarize_four_elements():
-    s = summarize_scores([1, 2, 3, 4])
+    s = summarize_scores([1, 2, 3, 4], 0.0, 1.0)
     assert s.max == 4 and s.mean == 2.5 and s.p50 == 2
 
 
 def test_summarize_singleton():
-    s = summarize_scores([5])
+    s = summarize_scores([5], 0.0, 1.0)
     assert (s.max, s.p50, s.mean) == (5, 5, 5)
 
 
@@ -84,20 +84,20 @@ def test_summarize_128_values():
     np.random.default_rng(0).shuffle(ys)
     expected_p50 = np.sort(ys)[int(np.ceil(0.5 * len(ys))) - 1]
     assert expected_p50 == 64
-    assert summarize_scores(ys).p50 == 64
+    assert summarize_scores(ys, 0.0, 1.0).p50 == 64
 
 
 def test_summarize_empty_and_nonfinite():
     with pytest.raises(ValueError):
-        summarize_scores([])
+        summarize_scores([], 0.0, 1.0)
     with pytest.raises(ValueError):
-        summarize_scores([1.0, float("inf")])
+        summarize_scores([1.0, float("inf")], 0.0, 1.0)
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300))
 @settings(max_examples=150, deadline=None)
 def test_p50_matches_sort_and_index(ys):
-    s = summarize_scores(ys)
+    s = summarize_scores(ys, 0.0, 1.0)
     srt = sorted(ys)
     assert s.p50 == srt[int(np.ceil(0.5 * len(ys))) - 1]
     assert min(ys) <= s.p50 <= s.max
@@ -106,11 +106,11 @@ def test_p50_matches_sort_and_index(ys):
 
 def test_p50_large_list_matches_bruteforce():
     ys = np.random.default_rng(1).standard_normal(10_000)
-    assert summarize_scores(ys).p50 == np.sort(ys)[4999]
+    assert summarize_scores(ys, 0.0, 1.0).p50 == np.sort(ys)[4999]
 
 
 def test_with_normalized():
-    s = summarize_scores([0.0, 10.0]).with_normalized(0.0, 10.0)
+    s = summarize_scores([0.0, 10.0], 0.0, 10.0)
     assert s.max_norm == 1.0 and s.mean_norm == 0.5
 
 

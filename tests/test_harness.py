@@ -185,14 +185,14 @@ def test_persist_and_reload_recomputes_from_csv(tmp_path):
     cfg = fast_config(algorithms=("mean", "mgda"))
     report = run_experiment(cfg)
     run_dir = tmp_path / "run"
-    persist_report(report, cfg, run_dir)
+    persist_report(report, run_dir)
     assert (run_dir / "report.md").exists()
     assert (run_dir / "results.json").exists()
     assert (run_dir / "ensemble_seed1.bin").exists()
     # report values equal recomputation from the persisted raw scores
     for r in report.results:
         ds, _ = read_dataset_csv(run_dir / f"designs_{r.algorithm}_seed{r.run_seed}.csv")
-        s = summarize_scores(ds.scores).with_normalized(report.y_min, report.y_max)
+        s = summarize_scores(ds.scores, report.y_min, report.y_max)
         assert s.max == r.summary.max
         assert s.p50 == r.summary.p50
         assert s.mean == pytest.approx(r.summary.mean, rel=1e-15)
@@ -200,19 +200,11 @@ def test_persist_and_reload_recomputes_from_csv(tmp_path):
     assert report_markdown(reloaded) == (run_dir / "report.md").read_text()
 
 
-def test_persist_rejects_a_config_the_report_did_not_run(tmp_path):
-    cfg = fast_config(algorithms=("mean",), steps=1)
-    report = run_experiment(cfg)
-    with pytest.raises(ValueError, match="configuration the report ran"):
-        persist_report(report, replace(cfg, algorithms=("mean", "mgda")), tmp_path / "run")
-    assert not (tmp_path / "run").exists()
-
-
 def test_byte_identical_artifacts_across_runs(tmp_path):
     cfg = fast_config(algorithms=("single", "cagrad"))
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
-    persist_report(run_experiment(cfg), cfg, d1)
-    persist_report(run_experiment(cfg), cfg, d2)
+    persist_report(run_experiment(cfg), d1)
+    persist_report(run_experiment(cfg), d2)
     for name in ["report.md", "results.json", "ensemble_seed1.bin",
                  "designs_single_seed1.csv", "designs_cagrad_seed1.csv"]:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
@@ -770,10 +762,34 @@ def test_train_and_tune_refuse_run_seeds_before_the_task_is_built(command, run_s
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, flags, error", [
+    ("[1, 2]", [], "--config {path} is not a JSON object: [1, 2]"),
+    ("not json", [], "--config {path} is not JSON: Expecting value: line 1 column 1 (char 0)"),
+    ('{"algorithms": "mgda"}', [], 'algorithms must be a JSON list, got "mgda"'),
+    ('{"run_seeds": 5}', [], "run_seeds must be a JSON list, got 5"),
+    ('{"train": {"hidden": 64}}', [], "train.hidden must be a JSON list, got 64"),
+    ('{"train": 5}', ["--epochs", "2"], "train must be a JSON object, got 5"),
+], ids=["list", "not-json", "algorithms-string", "run-seeds-int", "hidden-int", "train-int-with-epochs"])
+def test_run_refuses_a_bad_config_file_by_name_before_the_task_is_built(text, flags, error, tmp_path,
+                                                                        capsys, monkeypatch):
+    import ensmbo.harness as harness
+
+    def get_task(*args):
+        raise AssertionError("built the task before the settings were checked")
+
+    monkeypatch.setattr(harness, "get_task", get_task)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--task", "bowl", "--config", str(cfg_path), "--out", str(out)] + flags) == 1
+    assert capsys.readouterr() == ("", f"error: {error.format(path=cfg_path)}\n")
+    assert not out.exists()
+
+
 def test_persist_writes_null_for_any_nonfinite_metric(tmp_path):
     cfg = fast_config(algorithms=("mean",), steps=1)
     report = replace(run_experiment(cfg), val_metrics={1: [(0.25, float("inf")), (float("nan"), 0.5)]})
-    persist_report(report, cfg, tmp_path / "run")
+    persist_report(report, tmp_path / "run")
     payload = _strict_json(tmp_path / "run" / "results.json")
     assert payload["val_metrics"] == {"1": [[0.25, None], [None, 0.5]]}
 

@@ -17,7 +17,6 @@ from ensmbo.nn import (
     load_ensemble,
     save_ensemble,
     spearman,
-    train,
     train_ensemble,
 )
 from ensmbo.tasks import make_minibind
@@ -94,13 +93,13 @@ def test_forward_batch_matches_single():
 def test_gradient_of_linear_model_is_w():
     w = np.array([0.5, -1.5, 2.0])
     m = linear_model(w, b=3.0)
-    g = m.input_gradient(np.array([1.0, 1.0, 1.0]))
+    g = m.value_and_grad_rows(np.array([1.0, 1.0, 1.0])[None])[1][0]
     assert np.array_equal(g, w)
 
 
 def test_gradient_zero_net():
     m = zero_mlp(4)
-    assert np.array_equal(m.input_gradient(np.ones(4)), np.zeros(4))
+    assert np.array_equal(m.value_and_grad_rows(np.ones(4)[None])[1][0], np.zeros(4))
 
 
 def test_gradient_matches_finite_differences():
@@ -121,7 +120,7 @@ def test_gradient_matches_finite_differences():
             a = np.maximum(z, 0.0)
         if not ok:
             continue
-        g = m.input_gradient(x)
+        g = m.value_and_grad_rows(x[None])[1][0]
         fd = np.empty(dim)
         for i in range(dim):
             xp, xm = x.copy(), x.copy()
@@ -138,8 +137,8 @@ def test_relu_kink_uses_zero_subgradient():
         weights=[np.array([[1.0]]), np.array([[1.0]])],
         biases=[np.array([0.0]), np.array([0.0])],
     )
-    assert m.input_gradient(np.array([0.0])) == np.array([0.0])
-    assert m.input_gradient(np.array([1.0])) == np.array([1.0])
+    assert m.value_and_grad_rows(np.array([0.0])[None])[1][0] == np.array([0.0])
+    assert m.value_and_grad_rows(np.array([1.0])[None])[1][0] == np.array([1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +157,7 @@ def test_train_recovers_linear_function():
     y = X @ np.array([1.0, -2.0, 0.5, 3.0]) + 0.25
     cfg = TrainConfig(epochs=400, batch_size=128, learning_rate=1e-2,
                       weight_decay=0.0, seed=1, patience=400, hidden=())
-    m = train(_continuous(X, y), cfg)
+    m = train_ensemble(_continuous(X, y), 1, cfg).models[0]
     pred = m.forward_batch(X)
     assert np.mean((pred - y) ** 2) < 1e-4
 
@@ -169,7 +168,7 @@ def test_train_constant_targets():
     y = np.full(300, 7.5)
     cfg = TrainConfig(epochs=400, batch_size=64, learning_rate=5e-2, weight_decay=0.0,
                       seed=0, patience=400, hidden=())
-    m = train(_continuous(X, y), cfg)
+    m = train_ensemble(_continuous(X, y), 1, cfg).models[0]
     assert m.val_mse < 1e-4
     assert np.isnan(m.val_spearman)  # rank correlation undefined on constants
 
@@ -179,7 +178,8 @@ def test_train_is_deterministic():
     X = rng.standard_normal((300, 5))
     y = np.sin(X[:, 0]) + X[:, 1]
     cfg = TrainConfig(epochs=5, batch_size=64, seed=9)
-    m1, m2 = train(_continuous(X, y), cfg), train(_continuous(X, y), cfg)
+    m1 = train_ensemble(_continuous(X, y), 1, cfg).models[0]
+    m2 = train_ensemble(_continuous(X, y), 1, cfg).models[0]
     for a, b in zip(m1.weights + m1.biases, m2.weights + m2.biases):
         assert np.array_equal(a, b)
 
@@ -190,7 +190,7 @@ def test_train_aborts_on_nonfinite_loss():
     y = np.full(64, 1e200)
     cfg = TrainConfig(epochs=2, batch_size=32, seed=0)
     with pytest.raises(FloatingPointError, match="non-finite"):
-        train(_continuous(X, y), cfg)
+        train_ensemble(_continuous(X, y), 1, cfg)
 
 
 def _same_model(got, want):
@@ -201,8 +201,8 @@ def _same_model(got, want):
 
 
 # (matrix, rows, explicit validation rows, config, early stopping fires).
-# Without explicit validation rows the case trains through `train` and its
-# one-member split; with them it drives the loop `_fit` directly.
+# Without explicit validation rows the case trains through a one-member
+# `train_ensemble` and its split; with them it drives the loop `_fit` directly.
 FUSED_STEP_CASES = {
     "continuous-no-decay-internal-split": (
         "continuous", 300, None,
@@ -238,7 +238,7 @@ def test_fused_step_matches_per_parameter_loop_bitwise(case, monkeypatch):
     epochs, mse = [], nn._mse  # _mse runs once per epoch
     monkeypatch.setattr(nn, "_mse", lambda *a: epochs.append(1) or mse(*a))
     if n_val is None:
-        got = train(Dataset(space=space, designs=designs, scores=y), cfg)
+        got = train_ensemble(Dataset(space=space, designs=designs, scores=y), 1, cfg).models[0]
         want = reference_train_arrays(X, y, cfg)
     else:
         got = nn._fit(X[:n], y[:n], X[n:], y[n:], cfg, np.random.default_rng(cfg.seed))
@@ -255,13 +255,13 @@ def test_train_aborts_on_nonfinite_weights():
     with pytest.raises(FloatingPointError) as want:
         reference_train_arrays(X, y, cfg)
     with pytest.raises(FloatingPointError) as got:
-        train(_continuous(X, y), cfg)
+        train_ensemble(_continuous(X, y), 1, cfg)
     assert str(got.value) == str(want.value) == "non-finite weights after epoch 0 update"
 
 
 def test_train_needs_enough_rows():
     with pytest.raises(ValueError, match="got 4 rows for batch_size 8"):
-        train(_continuous(np.ones((4, 2)), np.ones(4)), TrainConfig(batch_size=8))
+        train_ensemble(_continuous(np.ones((4, 2)), np.ones(4)), 1, TrainConfig(batch_size=8))
 
 
 def test_train_on_dataset_wrapper():
@@ -269,7 +269,7 @@ def test_train_on_dataset_wrapper():
     designs = rng.standard_normal((200, 3))
     ds = Dataset(space=DesignSpace.continuous(3), designs=designs,
                  scores=designs @ np.ones(3))
-    m = train(ds, TrainConfig(epochs=3, batch_size=64, seed=0))
+    m = train_ensemble(ds, 1, TrainConfig(epochs=3, batch_size=64, seed=0)).models[0]
     assert np.isfinite(m.val_mse)
 
 
@@ -435,7 +435,7 @@ def test_ensemble_requires_matching_dims():
 def test_minibind_validation_spearman_floor():
     task = make_minibind(0)
     mbo = select_bottom_fraction(task.total_dataset(), 0.5)
-    m = train(mbo, TrainConfig(epochs=10, batch_size=256, seed=0))
+    m = train_ensemble(mbo, 1, TrainConfig(epochs=10, batch_size=256, seed=0)).models[0]
     assert m.val_spearman > 0.4
 
 
