@@ -45,8 +45,9 @@ class AscentConfig:
             raise ValueError("steps must be >= 0")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.combiner is Combiner.CAGRAD:
-            CagradConfig(self.cagrad_c)  # validate range
+        if not np.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        CagradConfig(self.cagrad_c)  # validate range, whatever the combiner: every report prints c
 
 
 @dataclass(eq=False)

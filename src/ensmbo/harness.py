@@ -16,7 +16,8 @@ default. ``ExperimentConfig.ascent_config`` builds every ascent setting.
 ``_prepare`` builds the task and the MBO set for every command; the MBO
 set's space is the only one that carries normalization statistics, the
 run's, computed from the MBO designs alone. A ``RunReport`` carries the
-configuration it ran.
+configuration it ran, and ``results_payload`` its record: ``results.json``
+holds it, and ``report.md`` is rendered from it and from it alone.
 
 Hyperparameter tuning is offline by construction: the ``tune`` command
 records proxy-prediction trajectories and never touches the oracle, and
@@ -42,7 +43,6 @@ from .core import (
     ScoreSummary,
     encode,
     normalize_score,
-    read_dataset_csv,
     select_bottom_fraction,
     select_top_n,
     stats_from_designs,
@@ -71,6 +71,13 @@ TASK_DEFAULTS = {
 }
 
 DEFAULT_OUT_ENV = "ENSMBO_OUT"
+
+# Each setting's JSON type (its entries', for a list); alpha, cagrad_c and out_dir may be null.
+_JSON_TYPES = {"task": "string", "task_seed": "integer", "k_fraction": "number", "ensemble_size": "integer",
+               "n_candidates": "integer", "steps": "integer", "alpha": "number", "cagrad_c": "number",
+               "algorithms": "string", "run_seeds": "integer", "out_dir": "string", "train.epochs": "integer",
+               "train.batch_size": "integer", "train.learning_rate": "number", "train.weight_decay": "number",
+               "train.seed": "integer", "train.patience": "integer", "train.hidden": "integer"}
 
 
 @dataclass(frozen=True)
@@ -101,6 +108,10 @@ class ExperimentConfig:
             repeats = [v for i, v in enumerate(values) if v in values[:i]]
             if repeats:
                 raise ValueError(f"{name} ({flag}) repeats {repeats[0]!r}; give each once")
+        for name, flag, seeds in (("task_seed", "--seed", [self.task_seed]),
+                                  ("run_seeds", "--run-seeds", self.run_seeds)):
+            if any(s < 0 for s in seeds):
+                raise ValueError(f"{name} ({flag}) must be non-negative, got {min(seeds)}")
         if self.train.seed != TrainConfig.seed:
             raise ValueError(f"train.seed {self.train.seed} is not used: the run seeds "
                              "(--run-seeds, default the task seed) seed the proxies")
@@ -128,10 +139,17 @@ class ExperimentConfig:
         d = dict(d)
         train = dict(_json_field(d, "train", dict, {}))
         train["hidden"] = tuple(_json_field(train, "hidden", list, TrainConfig.hidden, "train."))
-        d["train"] = TrainConfig(**train)
         d["algorithms"] = tuple(_json_field(d, "algorithms", list, ALGORITHMS))
         d["run_seeds"] = tuple(_json_field(d, "run_seeds", list, ()))
-        return ExperimentConfig(**d)
+        for name, value in {**d, **{f"train.{k}": v for k, v in train.items()}}.items():
+            kind = _JSON_TYPES.get(name)
+            listed = name in ("algorithms", "run_seeds", "train.hidden")
+            python = {"string": str, "number": (int, float), "integer": int}.get(kind, object)
+            if kind and not all(v is None and name in ("alpha", "cagrad_c", "out_dir") or
+                    isinstance(v, python) and not isinstance(v, bool) for v in (value if listed else [value])):
+                what = f"a list of JSON {kind}s" if listed else f"a JSON {kind}"
+                raise ValueError(f"{name} must be {what}, got {json.dumps(value)}")
+        return ExperimentConfig(**dict(d, train=TrainConfig(**train)))
 
 
 def _json_field(d: dict, name: str, kind: type, default, prefix: str = ""):
@@ -173,15 +191,37 @@ class RunReport:
 
     def aggregate(self) -> dict:
         """Per-algorithm mean/std over run seeds for each metric."""
-        out = {}
-        for alg in self.config.algorithms:
-            rows = [r.summary for r in self.results if r.algorithm == alg]
-            metrics = {}
-            for f in fields(ScoreSummary):
-                vals = np.array([getattr(s, f.name) for s in rows], dtype=np.float64)
-                metrics[f.name] = (float(vals.mean()), float(vals.std()))
-            out[alg] = metrics
-        return out
+        return _aggregate(results_payload(self))
+
+
+def results_payload(report: RunReport) -> dict:
+    """The record of a run: ``results.json`` holds it, ``report.md`` renders it."""
+    return {
+        "config": asdict(report.config),
+        "task_name": report.task_name,
+        "y_min": report.y_min,
+        "y_max": report.y_max,
+        "baseline_norm": report.baseline_norm,
+        "proxy_only": report.proxy_only,
+        "algorithms": list(report.config.algorithms),
+        "run_seeds": list(report.config.resolved_seeds()),
+        "alpha": report.alpha,
+        "cagrad_c": report.cagrad_c,
+        "oracle_calls": report.oracle_calls,
+        "val_metrics": {str(rs): [[_metric(v) for v in pair] for pair in pairs]
+                        for rs, pairs in report.val_metrics.items()},
+        "summaries": {f"{r.algorithm}/seed{r.run_seed}": asdict(r.summary) for r in report.results},
+    }
+
+
+def _aggregate(payload: dict) -> dict:
+    """Per-algorithm mean/std over run seeds of each metric of ``payload``'s summaries."""
+    out = {}
+    for alg in payload["algorithms"]:
+        rows = [payload["summaries"][f"{alg}/seed{rs}"] for rs in payload["run_seeds"]]
+        vals = {f.name: np.array([s[f.name] for s in rows], dtype=np.float64) for f in fields(ScoreSummary)}
+        out[alg] = {name: (float(v.mean()), float(v.std())) for name, v in vals.items()}
+    return out
 
 
 def _prepare(cfg: ExperimentConfig):
@@ -219,12 +259,13 @@ def _ascend(starts, space: DesignSpace, ens, acfg: AscentConfig, task_name: str,
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Full pipeline for one task over one or more run seeds."""
+    # Built before the task, so a bad setting is refused at once.
+    ascent_configs = {alg: cfg.ascent_config(alg) for alg in cfg.algorithms}
     task, mbo = _prepare(cfg)  # a fresh task: its oracle has no calls yet
     if cfg.n_candidates > len(mbo):
         raise ValueError("n_candidates exceeds the MBO dataset size")
+    starts = select_top_n(mbo, cfg.n_candidates)
     baseline_norm = normalize_score(float(mbo.scores.max()), task.y_min, task.y_max)
-    # Built before any training, so a bad setting is refused at once.
-    ascent_configs = {alg: cfg.ascent_config(alg) for alg in cfg.algorithms}
 
     results: list[AlgoResult] = []
     val_metrics: dict = {}
@@ -236,7 +277,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         train_seconds[rs] = time.perf_counter() - t0
         ensembles[rs] = ens
         val_metrics[rs] = ens.validation_metrics()
-        starts = select_top_n(mbo, cfg.n_candidates)
         for alg, acfg in ascent_configs.items():
             a0 = time.perf_counter()
             finals = np.array([t.final for t in _ascend(starts, mbo.space, ens, acfg, task.name, rs)])
@@ -309,23 +349,24 @@ def _table(title: str, header: str, rows: list, extra_rows=()) -> list:
     return lines
 
 
-def report_markdown(report: RunReport) -> str:
-    agg = report.aggregate()
-    cfg = report.config
-    multi = len(cfg.resolved_seeds()) > 1
+def report_markdown(payload: dict) -> str:
+    """The markdown report of a run's ``results_payload`` (or its ``results.json``)."""
+    agg = _aggregate(payload)
+    cfg = payload["config"]
+    multi = len(payload["run_seeds"]) > 1
     lines = [
-        f"# Offline MBO report: {report.task_name}",
+        f"# Offline MBO report: {payload['task_name']}",
         "",
-        f"- task seed: {cfg.task_seed}",
-        f"- MBO dataset: bottom {_fmt(cfg.k_fraction * 100)}% of the total dataset",
-        f"- ensemble size: {cfg.ensemble_size}",
-        f"- candidates per algorithm: {cfg.n_candidates}",
-        f"- update steps: {cfg.steps}, step size: {_fmt(report.alpha)}, CAGrad c: {_fmt(report.cagrad_c)}",
-        f"- run seeds: {', '.join(str(s) for s in cfg.resolved_seeds())}",
-        f"- score normalization range: [{_fmt(report.y_min)}, {_fmt(report.y_max)}]",
+        f"- task seed: {cfg['task_seed']}",
+        f"- MBO dataset: bottom {_fmt(cfg['k_fraction'] * 100)}% of the total dataset",
+        f"- ensemble size: {cfg['ensemble_size']}",
+        f"- candidates per algorithm: {cfg['n_candidates']}",
+        f"- update steps: {cfg['steps']}, step size: {_fmt(payload['alpha'])}, CAGrad c: {_fmt(payload['cagrad_c'])}",
+        f"- run seeds: {', '.join(str(s) for s in payload['run_seeds'])}",
+        f"- score normalization range: [{_fmt(payload['y_min'])}, {_fmt(payload['y_max'])}]",
         "",
     ]
-    if report.proxy_only:
+    if payload["proxy_only"]:
         lines += [
             "**WARNING: no exact oracle for this task; scores below are",
             "proxy-predicted and UNVERIFIED.**",
@@ -334,22 +375,22 @@ def report_markdown(report: RunReport) -> str:
 
     def rows_for(metric: str) -> list:
         out = []
-        for alg in cfg.algorithms:
+        for alg in payload["algorithms"]:
             mean, std = agg[alg][metric]
             out.append((DISPLAY_NAMES[alg], mean, _fmt_pair(mean, std, multi)))
         return out
 
-    baseline = [("dataset", _fmt(report.baseline_norm))]
+    baseline = [("dataset", _fmt(payload["baseline_norm"]))]
     lines += _table(
-        f"Max (normalized) ground-truth score of the top {cfg.n_candidates} designs",
+        f"Max (normalized) ground-truth score of the top {cfg['n_candidates']} designs",
         "max (normalized)", rows_for("max_norm"), extra_rows=baseline,
     )
     lines += _table(
-        f"50th percentile (normalized) ground-truth score of the top {cfg.n_candidates} designs",
+        f"50th percentile (normalized) ground-truth score of the top {cfg['n_candidates']} designs",
         "p50 (normalized)", rows_for("p50_norm"),
     )
     lines += _table(
-        f"Average (raw) ground-truth score of the top {cfg.n_candidates} designs",
+        f"Average (raw) ground-truth score of the top {cfg['n_candidates']} designs",
         "mean (raw)", rows_for("mean"),
     )
     lines += _table(
@@ -387,61 +428,15 @@ def persist_report(report: RunReport, run_dir: Path) -> None:
         write_dataset_csv(ds, path, report.y_min, report.y_max)
     for rs, ens in report.ensembles.items():
         save_ensemble(ens, run_dir / f"ensemble_seed{rs}.bin")
-    payload = {
-        "config": asdict(report.config),
-        "task_name": report.task_name,
-        "y_min": report.y_min,
-        "y_max": report.y_max,
-        "baseline_norm": report.baseline_norm,
-        "proxy_only": report.proxy_only,
-        "algorithms": list(report.config.algorithms),
-        "run_seeds": list(report.config.resolved_seeds()),
-        "alpha": report.alpha,
-        "cagrad_c": report.cagrad_c,
-        "oracle_calls": report.oracle_calls,
-        "val_metrics": {str(rs): [[_metric(v) for v in pair] for pair in pairs]
-                        for rs, pairs in report.val_metrics.items()},
-        "summaries": {f"{r.algorithm}/seed{r.run_seed}": asdict(r.summary) for r in report.results},
-    }
+    payload = results_payload(report)
     (run_dir / "results.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    (run_dir / "report.md").write_text(report_markdown(report), encoding="utf-8")
+    (run_dir / "report.md").write_text(report_markdown(payload), encoding="utf-8")
     timings = {"train_seconds": {str(k): v for k, v in report.train_seconds.items()},
                "algo_seconds": {f"{r.algorithm}/seed{r.run_seed}": r.wall_clock for r in report.results}}
     (run_dir / "timings.json").write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n",
                                           encoding="utf-8")
-
-
-def load_report(run_dir) -> RunReport:
-    """Rebuild a report from persisted raw per-design scores."""
-    run_dir = Path(run_dir)
-    payload = json.loads((run_dir / "results.json").read_text(encoding="utf-8"))
-    cfg = ExperimentConfig.from_dict(payload["config"])
-    results = []
-    space = None
-    for alg in cfg.algorithms:
-        for rs in cfg.resolved_seeds():
-            ds, _meta = read_dataset_csv(run_dir / f"designs_{alg}_seed{rs}.csv")
-            space = ds.space
-            summary = summarize_scores(ds.scores, payload["y_min"], payload["y_max"])
-            results.append(AlgoResult(algorithm=alg, run_seed=rs, summary=summary, scores=ds.scores,
-                                      finals_raw=ds.designs, wall_clock=0.0))
-    return RunReport(
-        config=cfg,
-        task_name=payload["task_name"],
-        alpha=payload["alpha"],
-        cagrad_c=payload["cagrad_c"],
-        y_min=payload["y_min"],
-        y_max=payload["y_max"],
-        baseline_norm=payload["baseline_norm"],
-        proxy_only=payload["proxy_only"],
-        space=space,
-        results=results,
-        val_metrics={int(k): v for k, v in payload["val_metrics"].items()},
-        oracle_calls=payload["oracle_calls"],
-        train_seconds={},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -614,15 +609,18 @@ def cmd_run(args) -> int:
     report = run_experiment(cfg)
     run_dir = run_dir_for(cfg)
     persist_report(report, run_dir)
-    print(report_markdown(report))
+    print((run_dir / "report.md").read_text(encoding="utf-8"))
     print(f"artifacts in {run_dir}")
     return 0
 
 
 def cmd_report(args) -> int:
-    report = load_report(args.run_dir)
-    text = report_markdown(report)
-    (Path(args.run_dir) / "report.md").write_text(text, encoding="utf-8")
+    path = Path(args.run_dir) / "results.json"
+    try:
+        text = report_markdown(json.loads(path.read_text(encoding="utf-8")))
+    except KeyError as exc:
+        raise ValueError(f"{path} has no key {exc}") from None
+    path.with_name("report.md").write_text(text, encoding="utf-8")
     print(text)
     return 0
 

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -27,9 +28,9 @@ from ensmbo.harness import (
     _build_parser,
     _experiment_config,
     cli_main,
-    load_report,
     persist_report,
     report_markdown,
+    results_payload,
     run_dir_for,
     run_experiment,
 )
@@ -75,7 +76,7 @@ def test_identical_seeds_identical_reports(tmp_path):
     cfg = fast_config(out_dir=str(tmp_path / "a"))
     r1 = run_experiment(cfg)
     r2 = run_experiment(cfg)
-    assert report_markdown(r1) == report_markdown(r2)
+    assert report_markdown(results_payload(r1)) == report_markdown(results_payload(r2))
     for a, b in zip(r1.results, r2.results):
         assert np.array_equal(a.scores, b.scores)
 
@@ -129,7 +130,7 @@ def test_validation_metrics_present():
 
 def test_report_single_algorithm_is_best():
     cfg = fast_config(algorithms=("mean",))
-    text = report_markdown(run_experiment(cfg))
+    text = report_markdown(results_payload(run_experiment(cfg)))
     assert "| dataset |" in text
     assert text.count("**") >= 2  # the single row is marked best
     assert "ties break toward the" in text
@@ -148,7 +149,7 @@ def test_report_tie_rule_marks_earlier_row():
 def test_report_multi_seed_cells_and_footer():
     cfg = fast_config(algorithms=("single", "mean"), run_seeds=(1, 2))
     report = run_experiment(cfg)
-    text = report_markdown(report)
+    text = report_markdown(results_payload(report))
     agg = report.aggregate()
     tables = {"max_norm": "## Max (normalized)", "p50_norm": "## 50th percentile",
               "mean": "## Average (raw)", "mean_norm": "## Average (normalized)"}
@@ -169,7 +170,7 @@ def test_report_multi_seed_cells_and_footer():
 
 def test_report_tables_present():
     cfg = fast_config(algorithms=("single", "mean"))
-    text = report_markdown(run_experiment(cfg))
+    text = report_markdown(results_payload(run_experiment(cfg)))
     assert "## Max (normalized)" in text
     assert "## 50th percentile (normalized)" in text
     assert "## Average (raw)" in text
@@ -196,8 +197,8 @@ def test_persist_and_reload_recomputes_from_csv(tmp_path):
         assert s.max == r.summary.max
         assert s.p50 == r.summary.p50
         assert s.mean == pytest.approx(r.summary.mean, rel=1e-15)
-    reloaded = load_report(run_dir)
-    assert report_markdown(reloaded) == (run_dir / "report.md").read_text()
+    payload = json.loads((run_dir / "results.json").read_text())
+    assert report_markdown(payload) == (run_dir / "report.md").read_text()
 
 
 def test_byte_identical_artifacts_across_runs(tmp_path):
@@ -220,7 +221,7 @@ def test_golden_minibind_report(tmp_path):
         train=TrainConfig(epochs=2, batch_size=1024),
     )
     report = run_experiment(cfg)
-    text = report_markdown(report)
+    text = report_markdown(results_payload(report))
     if not GOLDEN.exists():  # pragma: no cover - snapshot bootstrap
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN.write_text(text, encoding="utf-8")
@@ -387,6 +388,45 @@ def test_cli_report_rerenders(tmp_path, capsys):
     assert (run_dir / "report.md").read_text() == original
 
 
+def test_cli_report_needs_only_results_json(tmp_path, capsys):
+    assert cli_main([
+        "run", "--task", "bowl", "--seed", "3", "--m", "2", "--epochs", "2", "--steps", "2",
+        "--n-candidates", "4", "--run-seeds", "1,2", "--out", str(tmp_path),
+    ]) == 0
+    run_dir = tmp_path / "bowl-s3"
+    original = (run_dir / "report.md").read_bytes()
+    for path in [*run_dir.glob("designs_*"), *run_dir.glob("ensemble_*.bin"), run_dir / "report.md"]:
+        path.unlink()
+    assert sorted(p.name for p in run_dir.iterdir()) == ["results.json", "timings.json"]
+    capsys.readouterr()
+    assert cli_main(["report", "--run-dir", str(run_dir)]) == 0
+    assert (run_dir / "report.md").read_bytes() == original
+    assert capsys.readouterr() == (original.decode("utf-8") + "\n", "")
+
+
+@pytest.mark.parametrize("key", ["summaries", "alpha"])
+def test_cli_report_names_the_file_and_the_missing_key(key, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    persist_report(run_experiment(fast_config(algorithms=("mean",), steps=1)), run_dir)
+    path = run_dir / "results.json"
+    payload = json.loads(path.read_text())
+    del payload[key]
+    path.write_text(json.dumps(payload))
+    original = (run_dir / "report.md").read_bytes()
+    assert cli_main(["report", "--run-dir", str(run_dir)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path} has no key '{key}'\n")
+    assert (run_dir / "report.md").read_bytes() == original
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.startswith("ensmbo ")]
+    assert len(lines) >= 6
+    for line in lines:
+        _build_parser().parse_args(shlex.split(line)[1:])  # exits 2 on a flag it does not know
+
+
 def test_cli_unknown_flag_exits_2(capsys):
     assert cli_main(["run", "--nonsense"]) == 2
     assert cli_main(["frobnicate"]) == 2
@@ -540,7 +580,7 @@ def test_proxy_only_run_from_csv(tmp_path, capsys):
     report = run_experiment(cfg)
     assert report.proxy_only
     assert report.oracle_calls["evaluation"] == 0
-    assert "UNVERIFIED" in report_markdown(report)
+    assert "UNVERIFIED" in report_markdown(results_payload(report))
 
 
 def _strict_json(path):
@@ -784,6 +824,54 @@ def test_run_refuses_a_bad_config_file_by_name_before_the_task_is_built(text, fl
     assert cli_main(["run", "--task", "bowl", "--config", str(cfg_path), "--out", str(out)] + flags) == 1
     assert capsys.readouterr() == ("", f"error: {error.format(path=cfg_path)}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, error", [
+    (["run"], {"steps": "5"}, 'steps must be a JSON integer, got "5"'),
+    (["run"], {"train": {"epochs": "2"}}, 'train.epochs must be a JSON integer, got "2"'),
+    (["run"], {"task_seed": "0"}, 'task_seed must be a JSON integer, got "0"'),
+    (["run"], {"steps": 1.5}, "steps must be a JSON integer, got 1.5"),
+    (["run"], {"train": {"hidden": [64, "a"]}}, 'train.hidden must be a list of JSON integers, got [64, "a"]'),
+    (["run"], {"run_seeds": ["a"]}, 'run_seeds must be a list of JSON integers, got ["a"]'),
+    (["run"], {"steps": True}, "steps must be a JSON integer, got true"),
+    (["run"], {"k_fraction": "0.5"}, 'k_fraction must be a JSON number, got "0.5"'),
+    (["run", "--alpha", "nan"], None, "alpha must be finite, got nan"),
+    (["run", "--alpha", "inf"], None, "alpha must be finite, got inf"),
+    (["tune", "--alpha", "nan"], None, "alpha must be finite, got nan"),
+    (["run", "--run-seeds", "1,-2"], None, "run_seeds (--run-seeds) must be non-negative, got -2"),
+    (["run", "--seed", "-1"], None, "task_seed (--seed) must be non-negative, got -1"),
+    (["gen-task", "--seed", "-1"], None, "task_seed (--seed) must be non-negative, got -1"),
+    (["train", "--seed", "-1"], None, "task_seed (--seed) must be non-negative, got -1"),
+    (["tune", "--seed", "-1"], None, "task_seed (--seed) must be non-negative, got -1"),
+    (["run", "--combiner", "mean", "--cagrad-c", "5"], None, "CAGrad c must lie in [0, 1)"),
+])
+def test_bad_setting_is_named_before_the_task_is_built(argv, config, error, tmp_path, capsys, monkeypatch,
+                                                      no_training):
+    import ensmbo.harness as harness
+
+    def get_task(*args):
+        raise AssertionError("built the task before the settings were checked")
+
+    monkeypatch.setattr(harness, "get_task", get_task)
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "c.json")]
+    out = tmp_path / "out"
+    assert cli_main(argv + ["--task", "bowl", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not out.exists()
+
+
+def test_every_setting_has_a_json_type_and_a_number_takes_an_integer():
+    from dataclasses import fields
+
+    from ensmbo.harness import _JSON_TYPES
+
+    assert set(_JSON_TYPES) == ({f.name for f in fields(ExperimentConfig)} - {"train"}
+                                | {f"train.{f.name}" for f in fields(TrainConfig)})
+    cfg = ExperimentConfig.from_dict({"alpha": None, "cagrad_c": None, "out_dir": None, "k_fraction": 1,
+                                      "train": {"learning_rate": 1}})
+    assert (cfg.alpha, cfg.cagrad_c, cfg.out_dir, cfg.k_fraction, cfg.train.learning_rate) == (None, None, None, 1, 1)
 
 
 def test_persist_writes_null_for_any_nonfinite_metric(tmp_path):
