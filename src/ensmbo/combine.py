@@ -1,10 +1,9 @@
 """Gradient combination strategies for proxy-model ensembles.
 
-Given per-model input gradients g_1..g_m (and predictions where needed),
-each combiner produces one update direction d:
+Given per-model input gradients g_1..g_m, each combiner produces one
+update direction d:
 
   * mean    - the average gradient g0
-  * min     - the gradient of the lowest-predicting model
   * MGDA    - d maximizing min_i <d, g_i> - 0.5*||d||^2, equivalently the
               min-norm point of the gradients' convex hull
   * CAGrad  - d maximizing min_i <d, g_i> inside the ball
@@ -15,22 +14,20 @@ MGDA and CAGrad are solved through their simplex-constrained duals
 stack of gradient sets in lockstep: Wolfe's major and minor cycles, whose
 face solves give MGDA's minimizer and, with one more right-hand side,
 CAGrad's in closed form, at CAGrad's kink g_w = 0 included.
-The per-point solvers are its one-row case.
-Low-dimensional primal reference solvers maximize over d directly and
-serve as independent oracles in the test suite.
+The per-point solvers are its one-row case.  The single and min
+directions, the gradient of the first or of the lowest-predicting model,
+are rows of the stack that ``ascent`` takes as they are.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 WEIGHT_FLOOR = -1e-12
 WEIGHT_SUM_TOL = 1e-10
-PRIMAL_MAX_DIM = 16
 DUAL_TOL = 1e-8  # residual tolerance of the dual solvers
 
 
@@ -51,7 +48,7 @@ class SolverError(RuntimeError):
 class GradientSet:
     """Per-model gradients at one design point, plus optional predictions.
 
-    ``grads`` is (m, n); ``values`` (needed by the min combiner) is (m,).
+    ``grads`` is (m, n); ``values``, the per-model predictions, is (m,).
     The mean gradient is always recomputed from ``grads``.
     """
 
@@ -127,33 +124,13 @@ def combine_mean(gs: GradientSet) -> CombinedGradient:
     return CombinedGradient(d=gs.mean_grad)
 
 
-def combine_min(gs: GradientSet) -> CombinedGradient:
-    """Gradient of the lowest-predicting model; ties go to the lowest index."""
-    if gs.values is None:
-        raise ValueError("min combiner needs per-model values")
-    j = int(np.argmin(gs.values))
-    return CombinedGradient(d=gs.grads[j].copy())
-
-
-def improvement_rate(gs: GradientSet, d: np.ndarray) -> float:
-    """Worst first-order predicted gain min_i <g_i, d> across the ensemble."""
-    d = np.asarray(d, dtype=np.float64)
-    if d.shape != (gs.dim,) or not np.all(np.isfinite(d)):
-        raise ValueError("d must be a finite vector matching the gradient dimension")
-    return float(np.min(gs.grads @ d))
-
-
 # ---------------------------------------------------------------------------
 # Simplex machinery
 # ---------------------------------------------------------------------------
 
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    return _project_rows(np.asarray(v, dtype=np.float64)[None])[0]
-
-
 def _project_rows(v):
-    """``project_to_simplex`` of each row of a (G, m) array."""
+    """The Euclidean projection of each row of a (G, m) array onto the
+    probability simplex (sort-based)."""
     m = v.shape[1]
     u = np.sort(v, axis=1)[:, ::-1]
     css = u.cumsum(axis=1) - 1.0
@@ -482,75 +459,3 @@ def solve_cagrad_dual(gs: GradientSet, cfg: CagradConfig, w0: np.ndarray | None 
     the kink g_w = 0.  ``w0`` warm-starts the solve.
     """
     return _one_row(lambda grads, w0_: solve_cagrad_batch(grads, cfg, w0_), gs, w0)
-
-
-# ---------------------------------------------------------------------------
-# Primal reference solvers (test oracles, n <= 16)
-# ---------------------------------------------------------------------------
-#
-# Both primal problems have piecewise structure over d: at an optimum some
-# active set of gradients ties on min_i <g_i, d>.  Enumerating every
-# candidate active set, restricting d to its tie subspace and maximizing
-# the (now smooth) objective in closed form yields an exact optimum for
-# the small m used in tests; every candidate is evaluated with the true
-# objective so the best one is the global maximizer.
-
-def _nullspace(rows: np.ndarray, dim: int) -> np.ndarray:
-    if rows.shape[0] == 0:
-        return np.eye(dim)
-    _, s, vt = np.linalg.svd(rows, full_matrices=True)
-    cutoff = max(rows.shape) * np.finfo(np.float64).eps * s[0]
-    rank = int(np.sum(s > cutoff))
-    return vt[rank:].T
-
-
-def _tie_subspaces(gs: GradientSet):
-    """(anchor, basis) for every candidate active set of gs, lazily: its
-    first gradient, and an orthonormal basis of the d on which it ties."""
-    if gs.dim > PRIMAL_MAX_DIM:
-        raise ValueError(f"primal reference solver supports n <= {PRIMAL_MAX_DIM}; use the dual solver")
-    g = gs.grads
-    return ((g[s[0]], _nullspace(g[list(s[1:])] - g[s[0]], gs.dim))
-            for k in range(1, gs.m + 1) for s in itertools.combinations(range(gs.m), k))
-
-
-def solve_mgda_primal_reference(gs: GradientSet) -> CombinedGradient:
-    """Direct maximization of min_i <d, g_i> - 0.5*||d||^2 over d."""
-
-    def objective(d):
-        return float(np.min(gs.grads @ d)) - 0.5 * float(d @ d)
-
-    # a tie subspace {0} is covered by the zero candidate
-    candidates = [basis @ (basis.T @ anchor) for anchor, basis in _tie_subspaces(gs) if basis.shape[1]]
-    return CombinedGradient(d=max([np.zeros(gs.dim)] + candidates, key=objective))
-
-
-def solve_cagrad_primal_reference(gs: GradientSet, cfg: CagradConfig) -> CombinedGradient:
-    """Direct maximization of min_i <d, g_i> within ||d - g0|| <= c*||g0||."""
-    subspaces = _tie_subspaces(gs)
-    g0 = gs.mean_grad
-    radius = cfg.c * float(np.linalg.norm(g0))
-    if radius == 0.0:
-        return CombinedGradient(d=g0.copy())
-
-    def candidate(anchor, basis):
-        """The best d of the tie subspace in the ball, or None if it misses the ball."""
-        if basis.shape[1] == 0:
-            if float(np.linalg.norm(g0)) > radius * (1.0 + 1e-12):
-                return None
-            d = np.zeros(gs.dim)
-        else:
-            q = basis.T @ g0
-            off = g0 - basis @ q
-            slack = radius**2 - float(off @ off)
-            if slack < -1e-12 * max(radius**2, 1.0):
-                return None
-            rho = np.sqrt(max(slack, 0.0))
-            a = basis.T @ anchor
-            a_norm = float(np.linalg.norm(a))
-            d = basis @ (q + rho * a / a_norm if a_norm > 0.0 else q)
-        excess = float(np.linalg.norm(d - g0))  # clip fp overshoot back onto the ball
-        return g0 + (d - g0) * (radius / excess) if excess > radius else d
-
-    candidates = [d for d in (candidate(*t) for t in subspaces) if d is not None]
-    return CombinedGradient(d=max([g0.copy()] + candidates, key=lambda d: float(np.min(gs.grads @ d))))

@@ -31,6 +31,7 @@ import json
 import os
 import sys
 import time
+import typing
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -72,12 +73,8 @@ TASK_DEFAULTS = {
 
 DEFAULT_OUT_ENV = "ENSMBO_OUT"
 
-# Each setting's JSON type (its entries', for a list); alpha, cagrad_c and out_dir may be null.
-_JSON_TYPES = {"task": "string", "task_seed": "integer", "k_fraction": "number", "ensemble_size": "integer",
-               "n_candidates": "integer", "steps": "integer", "alpha": "number", "cagrad_c": "number",
-               "algorithms": "string", "run_seeds": "integer", "out_dir": "string", "train.epochs": "integer",
-               "train.batch_size": "integer", "train.learning_rate": "number", "train.weight_decay": "number",
-               "train.seed": "integer", "train.patience": "integer", "train.hidden": "integer"}
+# The JSON kind of a setting's annotated type, and the Python values it takes.
+_JSON_KINDS = {str: ("string", str), int: ("integer", int), float: ("number", (int, float))}
 
 
 @dataclass(frozen=True)
@@ -90,8 +87,8 @@ class ExperimentConfig:
     steps: int = 200
     alpha: float | None = None  # None -> per-task default
     cagrad_c: float | None = None
-    algorithms: tuple = ALGORITHMS
-    run_seeds: tuple = ()  # empty -> (task_seed,)
+    algorithms: tuple[str, ...] = ALGORITHMS
+    run_seeds: tuple[int, ...] = ()  # empty -> (task_seed,)
     train: TrainConfig = field(default_factory=TrainConfig)
     out_dir: str | None = None
 
@@ -103,6 +100,10 @@ class ExperimentConfig:
             raise ValueError("need at least one algorithm")
         if self.n_candidates < 1:
             raise ValueError("n_candidates must be positive")
+        if not 0.0 < self.k_fraction <= 1.0:
+            raise ValueError(f"k_fraction (--k) must be in (0, 1], got {self.k_fraction}")
+        if self.ensemble_size < 1:
+            raise ValueError(f"ensemble_size (--m) must be >= 1, got {self.ensemble_size}")
         for name, flag, values in (("algorithms", "--combiner", self.algorithms),
                                    ("run_seeds", "--run-seeds", self.run_seeds)):
             repeats = [v for i, v in enumerate(values) if v in values[:i]]
@@ -135,20 +136,23 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        """The config of a JSON object, refusing a field of the wrong JSON type."""
+        """The config of a JSON object, refusing a setting whose JSON type is not
+        its annotation's (a ``tuple[X, ...]`` takes a list, an ``X | None`` null)."""
         d = dict(d)
         train = dict(_json_field(d, "train", dict, {}))
-        train["hidden"] = tuple(_json_field(train, "hidden", list, TrainConfig.hidden, "train."))
-        d["algorithms"] = tuple(_json_field(d, "algorithms", list, ALGORITHMS))
-        d["run_seeds"] = tuple(_json_field(d, "run_seeds", list, ()))
-        for name, value in {**d, **{f"train.{k}": v for k, v in train.items()}}.items():
-            kind = _JSON_TYPES.get(name)
-            listed = name in ("algorithms", "run_seeds", "train.hidden")
-            python = {"string": str, "number": (int, float), "integer": int}.get(kind, object)
-            if kind and not all(v is None and name in ("alpha", "cagrad_c", "out_dir") or
-                    isinstance(v, python) and not isinstance(v, bool) for v in (value if listed else [value])):
-                what = f"a list of JSON {kind}s" if listed else f"a JSON {kind}"
-                raise ValueError(f"{name} must be {what}, got {json.dumps(value)}")
+        for prefix, cls, given in (("", ExperimentConfig, d), ("train.", TrainConfig, train)):
+            for name, hint in typing.get_type_hints(cls).items():
+                base, *rest = typing.get_args(hint) or (hint,)
+                if name not in given or base not in _JSON_KINDS:
+                    continue
+                listed = typing.get_origin(hint) is tuple
+                if listed:
+                    given[name] = tuple(_json_field(given, name, list, (), prefix))
+                value, (kind, python) = given[name], _JSON_KINDS[base]
+                if not all(v is None and type(None) in rest or isinstance(v, python) and not isinstance(v, bool)
+                           for v in (value if listed else [value])):
+                    what = f"a list of JSON {kind}s" if listed else f"a JSON {kind}"
+                    raise ValueError(f"{prefix}{name} must be {what}, got {json.dumps(value)}")
         return ExperimentConfig(**dict(d, train=TrainConfig(**train)))
 
 
@@ -188,10 +192,6 @@ class RunReport:
     oracle_calls: dict
     train_seconds: dict
     ensembles: dict = field(default_factory=dict, repr=False)
-
-    def aggregate(self) -> dict:
-        """Per-algorithm mean/std over run seeds for each metric."""
-        return _aggregate(results_payload(self))
 
 
 def results_payload(report: RunReport) -> dict:
@@ -242,6 +242,14 @@ def _prepare(cfg: ExperimentConfig):
     return task, Dataset(space=space_run, designs=mbo.designs, scores=mbo.scores)
 
 
+def _check_fits_mbo(mbo: Dataset, *settings) -> None:
+    """Refuse a (field, flag, value) setting larger than the MBO set: it
+    counts designs drawn from it, or members that each validate on a fold of it."""
+    for name, flag, value in settings:
+        if value > len(mbo):
+            raise ValueError(f"{name} ({flag}) {value} exceeds the MBO dataset size {len(mbo)}")
+
+
 def _proxy_scores(finals, space, ens: Ensemble) -> np.ndarray:
     """Mean ensemble prediction of each raw final design."""
     X = encode(finals, space)
@@ -262,8 +270,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     # Built before the task, so a bad setting is refused at once.
     ascent_configs = {alg: cfg.ascent_config(alg) for alg in cfg.algorithms}
     task, mbo = _prepare(cfg)  # a fresh task: its oracle has no calls yet
-    if cfg.n_candidates > len(mbo):
-        raise ValueError("n_candidates exceeds the MBO dataset size")
+    _check_fits_mbo(mbo, ("n_candidates", "--n-candidates", cfg.n_candidates),
+                    ("ensemble_size", "--m", cfg.ensemble_size))
     starts = select_top_n(mbo, cfg.n_candidates)
     baseline_norm = normalize_score(float(mbo.scores.max()), task.y_min, task.y_max)
 
@@ -569,6 +577,7 @@ def cmd_gen_task(args) -> int:
 def cmd_train(args) -> int:
     cfg = _task_seeded(_experiment_config(args))
     task, mbo = _prepare(cfg)
+    _check_fits_mbo(mbo, ("ensemble_size", "--m", cfg.ensemble_size))
     ens = train_ensemble(mbo, cfg.ensemble_size, replace(cfg.train, seed=cfg.task_seed))
     out = _out_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -585,6 +594,7 @@ def cmd_tune(args) -> int:
     # Built before any training, so a bad setting is refused at once.
     ascent_configs = {alg: cfg.ascent_config(alg, record=True) for alg in cfg.algorithms}
     task, mbo = _prepare(cfg)
+    _check_fits_mbo(mbo, ("ensemble_size", "--m", cfg.ensemble_size))
     calls_before = task.oracle.calls if task.oracle is not None else 0
     starts = select_top_n(mbo, min(args.n_trajectories, len(mbo)))
     ens = train_ensemble(mbo, cfg.ensemble_size, replace(cfg.train, seed=cfg.task_seed))

@@ -140,7 +140,7 @@ class TrainConfig:
     weight_decay: float = 1e-6
     seed: int = 0
     patience: int = 10
-    hidden: tuple = (64, 64)
+    hidden: tuple[int, ...] = (64, 64)
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
@@ -429,12 +429,15 @@ def spearman(a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Serialization (versioned, bitwise-exact round trips)
+# Serialization (versioned, bitwise-exact)
 # ---------------------------------------------------------------------------
 #
-# Layout: 8-byte magic, u32 header length, JSON header (shapes + metrics),
-# then raw little-endian float64 buffers in header order.  Plain bytes, no
-# timestamps, so identical models serialize to identical files.
+# Layout: 8-byte magic, u32 header length, JSON header (version 1; per
+# model its [weight shape, bias shape] layers, val_mse and val_spearman),
+# then raw little-endian float64 buffers, each layer's weights and then its
+# biases, in header order.  Plain bytes, no timestamps, so identical models
+# serialize to identical files.  The program only writes them; the test
+# suite reads them back bit for bit.
 
 _MAGIC = b"ENSMBO01"
 
@@ -463,25 +466,3 @@ def save_ensemble(ens: Ensemble, path) -> None:
             for w, b in zip(m.weights, m.biases):
                 f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
                 f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-
-
-def load_ensemble(path) -> Ensemble:
-    with open(path, "rb") as f:
-        if f.read(8) != _MAGIC:
-            raise ValueError("not an ensemble file")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        if header.get("version") != 1:
-            raise ValueError(f"unsupported version {header.get('version')}")
-        models = []
-        for mh in header["models"]:
-            weights, biases = [], []
-            for wshape, bshape in mh["layers"]:
-                wsize = int(np.prod(wshape))
-                bsize = int(np.prod(bshape))
-                weights.append(np.frombuffer(f.read(wsize * 8), dtype="<f8").reshape(wshape).copy())
-                biases.append(np.frombuffer(f.read(bsize * 8), dtype="<f8").reshape(bshape).copy())
-            models.append(MlpModel(weights=weights, biases=biases,
-                                   val_mse=mh["val_mse"], val_spearman=mh["val_spearman"]))
-    return Ensemble(models=models)
-

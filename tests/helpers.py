@@ -1,8 +1,14 @@
-"""Shared test utilities."""
+"""Shared test utilities: analytic models, and the reference
+implementations and oracles the suite checks the package against."""
+
+import itertools
+import json
+import struct
 
 import numpy as np
 
-from ensmbo.nn import MlpModel
+from ensmbo.combine import CagradConfig, CombinedGradient, GradientSet
+from ensmbo.nn import _MAGIC, Ensemble, MlpModel
 
 
 class PointModel:
@@ -48,20 +54,29 @@ def random_mlp(rng, input_dim, hidden=(16, 16)) -> MlpModel:
     return init_mlp(input_dim, hidden, rng)
 
 
+def combine_min(gs: GradientSet) -> CombinedGradient:
+    """Gradient of the lowest-predicting model; ties go to the lowest index."""
+    if gs.values is None:
+        raise ValueError("min combiner needs per-model values")
+    j = int(np.argmin(gs.values))
+    return CombinedGradient(d=gs.grads[j].copy())
+
+
+def improvement_rate(gs: GradientSet, d: np.ndarray) -> float:
+    """Worst first-order predicted gain min_i <g_i, d> across the ensemble."""
+    d = np.asarray(d, dtype=np.float64)
+    if d.shape != (gs.dim,) or not np.all(np.isfinite(d)):
+        raise ValueError("d must be a finite vector matching the gradient dimension")
+    return float(np.min(gs.grads @ d))
+
+
 def reference_ascent(start, space, ens, cfg):
     """The per-point update loop, as an oracle for the batched one: each
     member evaluated alone, each step combined by the per-point combiner
     warm-started from the step before.  Returns (final, xs, preds, d_norms)
     with the whole trajectory recorded."""
     from ensmbo.ascent import Combiner
-    from ensmbo.combine import (
-        CagradConfig,
-        GradientSet,
-        combine_mean,
-        combine_min,
-        solve_cagrad_dual,
-        solve_mgda_dual,
-    )
+    from ensmbo.combine import combine_mean, solve_cagrad_dual, solve_mgda_dual
     from ensmbo.core import decode, encode
 
     x = encode([start], space)[0]
@@ -232,3 +247,105 @@ def reference_minibind_scores(tokens, a, b):
         for q in range(p + 1, L):
             y += b[p, q, tokens[:, p], tokens[:, q]]
     return y
+
+
+# ---------------------------------------------------------------------------
+# Primal reference solvers (oracles for the dual solvers, n <= 16)
+# ---------------------------------------------------------------------------
+#
+# Both primal problems have piecewise structure over d: at an optimum some
+# active set of gradients ties on min_i <g_i, d>.  Enumerating every
+# candidate active set, restricting d to its tie subspace and maximizing
+# the (now smooth) objective in closed form yields an exact optimum for
+# the small m used in tests; every candidate is evaluated with the true
+# objective so the best one is the global maximizer.
+
+PRIMAL_MAX_DIM = 16
+
+
+def _nullspace(rows: np.ndarray, dim: int) -> np.ndarray:
+    if rows.shape[0] == 0:
+        return np.eye(dim)
+    _, s, vt = np.linalg.svd(rows, full_matrices=True)
+    cutoff = max(rows.shape) * np.finfo(np.float64).eps * s[0]
+    rank = int(np.sum(s > cutoff))
+    return vt[rank:].T
+
+
+def _tie_subspaces(gs: GradientSet):
+    """(anchor, basis) for every candidate active set of gs, lazily: its
+    first gradient, and an orthonormal basis of the d on which it ties."""
+    if gs.dim > PRIMAL_MAX_DIM:
+        raise ValueError(f"primal reference solver supports n <= {PRIMAL_MAX_DIM}; use the dual solver")
+    g = gs.grads
+    return ((g[s[0]], _nullspace(g[list(s[1:])] - g[s[0]], gs.dim))
+            for k in range(1, gs.m + 1) for s in itertools.combinations(range(gs.m), k))
+
+
+def solve_mgda_primal_reference(gs: GradientSet) -> CombinedGradient:
+    """Direct maximization of min_i <d, g_i> - 0.5*||d||^2 over d."""
+
+    def objective(d):
+        return float(np.min(gs.grads @ d)) - 0.5 * float(d @ d)
+
+    # a tie subspace {0} is covered by the zero candidate
+    candidates = [basis @ (basis.T @ anchor) for anchor, basis in _tie_subspaces(gs) if basis.shape[1]]
+    return CombinedGradient(d=max([np.zeros(gs.dim)] + candidates, key=objective))
+
+
+def solve_cagrad_primal_reference(gs: GradientSet, cfg: CagradConfig) -> CombinedGradient:
+    """Direct maximization of min_i <d, g_i> within ||d - g0|| <= c*||g0||."""
+    subspaces = _tie_subspaces(gs)
+    g0 = gs.mean_grad
+    radius = cfg.c * float(np.linalg.norm(g0))
+    if radius == 0.0:
+        return CombinedGradient(d=g0.copy())
+
+    def candidate(anchor, basis):
+        """The best d of the tie subspace in the ball, or None if it misses the ball."""
+        if basis.shape[1] == 0:
+            if float(np.linalg.norm(g0)) > radius * (1.0 + 1e-12):
+                return None
+            d = np.zeros(gs.dim)
+        else:
+            q = basis.T @ g0
+            off = g0 - basis @ q
+            slack = radius**2 - float(off @ off)
+            if slack < -1e-12 * max(radius**2, 1.0):
+                return None
+            rho = np.sqrt(max(slack, 0.0))
+            a = basis.T @ anchor
+            a_norm = float(np.linalg.norm(a))
+            d = basis @ (q + rho * a / a_norm if a_norm > 0.0 else q)
+        excess = float(np.linalg.norm(d - g0))  # clip fp overshoot back onto the ball
+        return g0 + (d - g0) * (radius / excess) if excess > radius else d
+
+    candidates = [d for d in (candidate(*t) for t in subspaces) if d is not None]
+    return CombinedGradient(d=max([g0.copy()] + candidates, key=lambda d: float(np.min(gs.grads @ d))))
+
+
+# ---------------------------------------------------------------------------
+# Ensemble files: a reader of the layout `nn.save_ensemble` writes
+# ---------------------------------------------------------------------------
+
+def load_ensemble(path) -> Ensemble:
+    """The ensemble of a file in the layout of ``nn``'s serialization
+    comment; ValueError unless the file starts with its magic and version."""
+    with open(path, "rb") as f:
+        if f.read(8) != _MAGIC:
+            raise ValueError("not an ensemble file")
+        (hlen,) = struct.unpack("<I", f.read(4))
+        header = json.loads(f.read(hlen).decode("utf-8"))
+        if header.get("version") != 1:
+            raise ValueError(f"unsupported version {header.get('version')}")
+        models = []
+        for mh in header["models"]:
+            weights, biases = [], []
+            for wshape, bshape in mh["layers"]:
+                weights.append(np.frombuffer(f.read(8 * int(np.prod(wshape))), dtype="<f8").reshape(wshape).copy())
+                biases.append(np.frombuffer(f.read(8 * int(np.prod(bshape))), dtype="<f8").reshape(bshape).copy())
+            models.append(MlpModel(weights=weights, biases=biases,
+                                   val_mse=mh["val_mse"], val_spearman=mh["val_spearman"]))
+        if f.read(1):
+            raise ValueError("trailing bytes after the last model")
+    return Ensemble(models=models)

@@ -15,17 +15,19 @@ from ensmbo.combine import (
     CagradConfig,
     GradientSet,
     combine_mean,
-    improvement_rate,
     solve_cagrad_dual,
-    solve_cagrad_primal_reference,
     solve_mgda_dual,
-    solve_mgda_primal_reference,
 )
 from ensmbo.core import DesignSpace
-from ensmbo.harness import ExperimentConfig, persist_report, report_markdown, run_experiment
+from ensmbo.harness import ExperimentConfig, _aggregate, persist_report, results_payload, run_experiment
 from ensmbo.nn import Ensemble, TrainConfig, init_mlp
 
-from helpers import QuadraticModel
+from helpers import (
+    QuadraticModel,
+    improvement_rate,
+    solve_cagrad_primal_reference,
+    solve_mgda_primal_reference,
+)
 
 N_INSTANCES = 1000
 CAGRAD_CS = (0.2, 0.3, 0.5)
@@ -177,7 +179,7 @@ def test_criterion_6_directional_reproduction():
     for task_name in ("minibind", "ridge"):
         cfg = ExperimentConfig(task=task_name, task_seed=0, run_seeds=SEEDS)
         report = run_experiment(cfg)
-        agg = report.aggregate()
+        agg = _aggregate(results_payload(report))
         single_mean = agg["single"]["mean"][0]
         single_p50 = agg["single"]["p50"][0]
         for alg in ("mgda", "cagrad"):

@@ -11,17 +11,15 @@ from ensmbo.combine import (
     GradientSet,
     SimplexWeights,
     SolverError,
+    _project_rows,
     combine_mean,
-    combine_min,
-    improvement_rate,
-    project_to_simplex,
     solve_cagrad_batch,
     solve_cagrad_dual,
-    solve_cagrad_primal_reference,
     solve_mgda_batch,
     solve_mgda_dual,
-    solve_mgda_primal_reference,
 )
+
+from helpers import combine_min, improvement_rate, solve_cagrad_primal_reference, solve_mgda_primal_reference
 
 
 def gset(rows, values=None):
@@ -115,14 +113,14 @@ def test_improvement_rate():
 @given(st.lists(st.floats(-10, 10), min_size=1, max_size=8))
 @settings(max_examples=200, deadline=None)
 def test_projection_lands_on_simplex(v):
-    w = project_to_simplex(np.array(v))
+    w = _project_rows(np.array([v]))[0]
     assert w.min() >= 0.0
     assert abs(w.sum() - 1.0) < 1e-9
 
 
 def test_projection_fixes_simplex_points():
     w = np.array([0.2, 0.3, 0.5])
-    assert np.allclose(project_to_simplex(w), w)
+    assert np.allclose(_project_rows(w[None])[0], w)
 
 
 def test_projection_is_nearest_point_m2():
@@ -133,7 +131,7 @@ def test_projection_is_nearest_point_m2():
         grid = np.linspace(0.0, 1.0, 20001)
         pts = np.column_stack([grid, 1.0 - grid])
         best = pts[np.argmin(((pts - v) ** 2).sum(axis=1))]
-        assert np.allclose(project_to_simplex(v), best, atol=1e-3)
+        assert np.allclose(_project_rows(v[None])[0], best, atol=1e-3)
 
 
 # ---------------------------------------------------------------------------

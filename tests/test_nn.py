@@ -14,14 +14,13 @@ from ensmbo.nn import (
     MlpModel,
     TrainConfig,
     init_mlp,
-    load_ensemble,
     save_ensemble,
     spearman,
     train_ensemble,
 )
 from ensmbo.tasks import make_minibind
 
-from helpers import linear_model, reference_train_arrays
+from helpers import linear_model, load_ensemble, reference_train_arrays
 
 
 def zero_mlp(input_dim, hidden=(8,)):
