@@ -54,10 +54,10 @@ class AscentConfig:
 class Trajectory:
     """Optimization record: final design plus optional per-step telemetry.
 
-    ``final`` is the design in raw task units: int64 tokens for discrete
-    spaces, coordinates for continuous ones.  When recording is on, ``xs``,
-    ``preds`` and ``d_norms`` hold steps+1 states, ``xs`` in the
-    optimization representation.
+    ``final`` is the design in raw task units: tokens in the space's
+    ``token_dtype`` for discrete spaces, coordinates for continuous ones.
+    When recording is on, ``xs``, ``preds`` and ``d_norms`` hold steps+1
+    states, ``xs`` in the optimization representation.
     """
 
     final: np.ndarray

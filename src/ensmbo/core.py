@@ -89,6 +89,12 @@ class DesignSpace:
         """Number of columns of a raw design row (tokens or coordinates)."""
         return self.seq_len if self.is_discrete else self.dim
 
+    @property
+    def token_dtype(self) -> np.dtype:
+        """Dtype of raw tokens: the narrowest unsigned type that holds
+        ``vocab - 1`` (uint8 for up to 256 tokens)."""
+        return np.min_scalar_type(self.vocab - 1)
+
     def floored_std(self) -> np.ndarray:
         return np.maximum(self.std, SIGMA_FLOOR)
 
@@ -102,8 +108,8 @@ class DesignSpace:
 class Dataset:
     """Immutable paired designs and ground-truth scores.
 
-    ``designs`` holds raw task units: integer tokens of shape (N, seq_len)
-    for discrete spaces, float64 coordinates of shape (N, dim) for
+    ``designs`` holds raw task units: (N, seq_len) tokens in the space's
+    ``token_dtype`` for discrete spaces, (N, dim) float64 coordinates for
     continuous ones.  ``scores`` are raw task-unit objective values.
     """
 
@@ -134,8 +140,9 @@ class Dataset:
 
 def check_designs(designs, space: DesignSpace) -> np.ndarray:
     """Raw designs as an (N, raw_dim) array, or ValueError naming the fault:
-    int64 tokens in [0, vocab) for a discrete space, finite float64
-    coordinates for a continuous one.  The array is a copy."""
+    tokens in [0, vocab), in the space's ``token_dtype``, for a discrete
+    space, finite float64 coordinates for a continuous one.  The range is
+    checked before the cast, which could wrap.  The array is a copy."""
     designs = np.asarray(designs)
     if designs.ndim != 2 or designs.shape[1] != space.raw_dim:
         unit = "tokens" if space.is_discrete else "coordinates"
@@ -144,10 +151,9 @@ def check_designs(designs, space: DesignSpace) -> np.ndarray:
         integer = np.issubdtype(designs.dtype, np.integer)
         if not (integer or np.all(np.isfinite(designs) & (designs == np.floor(designs)))):
             raise ValueError("discrete designs must be integer tokens; harden relaxed designs first")
-        designs = designs.astype(np.int64)
         if designs.size and (designs.min() < 0 or designs.max() >= space.vocab):
             raise ValueError(f"token out of range [0, {space.vocab})")
-        return designs
+        return designs.astype(space.token_dtype)
     designs = designs.astype(np.float64)
     if not np.all(np.isfinite(designs)):
         raise ValueError("designs must be finite")
@@ -167,13 +173,14 @@ def encode(designs, space: DesignSpace) -> np.ndarray:
 
 def decode(x: np.ndarray, space: DesignSpace) -> np.ndarray:
     """Raw designs (N, raw_dim) from finite optimization-representation rows
-    (N, flat_dim): the argmax token of each position, ties to the lowest
-    token, or the de-normalized coordinates."""
+    (N, flat_dim): the argmax token of each position (in the space's
+    ``token_dtype``), ties to the lowest token, or the de-normalized
+    coordinates."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != space.flat_dim or not np.all(np.isfinite(x)):
         raise ValueError(f"decode needs finite rows of {space.flat_dim} values, got shape {x.shape}")
     if space.is_discrete:
-        return np.argmax(x.reshape(-1, space.seq_len, space.vocab), axis=2).astype(np.int64)
+        return np.argmax(x.reshape(-1, space.seq_len, space.vocab), axis=2).astype(space.token_dtype)
     return x * space.floored_std() + space.mean
 
 
@@ -353,7 +360,7 @@ def read_dataset_csv(csv_path) -> tuple[Dataset, dict]:
                 except ValueError:
                     raise ValueError(f"row {i}: non-numeric coordinate") from None
             scores.append(y)
-    arr = np.asarray(designs, dtype=np.int64 if space.is_discrete else np.float64)
+    arr = np.asarray(designs, dtype=space.token_dtype if space.is_discrete else np.float64)
     if arr.size == 0:
         raise ValueError("dataset is empty")
     values = np.column_stack([scores] if space.is_discrete else [arr, scores])

@@ -104,12 +104,14 @@ def _along(x: np.ndarray, L: int, *axes: int) -> np.ndarray:
     return np.expand_dims(x, tuple(i for i in range(L) if i not in axes))
 
 
-def _enumerate_tokens(L: int, V: int) -> np.ndarray:
-    """All V**L sequences in lexicographic order, position 0 most significant."""
-    tokens = np.empty((V**L, L), dtype=np.int64)
+def _enumerate_tokens(space: DesignSpace) -> np.ndarray:
+    """All V**L sequences of ``space`` in lexicographic order, position 0
+    most significant, in the space's token dtype."""
+    L, V = space.seq_len, space.vocab
+    tokens = np.empty((V**L, L), dtype=space.token_dtype)
     grid = tokens.reshape((V,) * L + (L,))  # a view: row i is grid[digits of i]
     for p in range(L):
-        grid[..., p] = _along(np.arange(V), L, p)
+        grid[..., p] = _along(np.arange(V, dtype=space.token_dtype), L, p)
     return tokens
 
 
@@ -141,7 +143,7 @@ def make_minibind(seed: int) -> TaskSpec:
     a = rng.standard_normal((L, V)) * scl
     b = rng.standard_normal((L, L, V, V)) * scl
     space = DesignSpace.discrete(L, V)
-    tokens = _enumerate_tokens(L, V)
+    tokens = _enumerate_tokens(space)
     scores = _minibind_scores(a, b)
     powers = V ** np.arange(L - 1, -1, -1)
 
@@ -184,9 +186,10 @@ def make_ridge(seed: int) -> TaskSpec:
         return float(_saturating_gain(np.asarray(t)) - RIDGE_BETA * float(x[k:] @ x[k:]))
 
     x_par = rng.standard_normal((RIDGE_SIZE, k))
-    x_perp = rng.standard_normal((RIDGE_SIZE, RIDGE_DIM - k)) * RIDGE_NOISE
+    x_perp = rng.standard_normal((RIDGE_SIZE, RIDGE_DIM - k))
+    x_perp *= RIDGE_NOISE
     designs = np.hstack([x_par, x_perp])
-    scores = _saturating_gain(x_par @ u) - RIDGE_BETA * np.sum(x_perp**2, axis=1)
+    scores = _saturating_gain(x_par @ u) - RIDGE_BETA * np.sum(np.square(x_perp, out=x_perp), axis=1)
     return _seeded_task("ridge", designs, scores, score_one, {"u": u, "k": k, "beta": RIDGE_BETA})
 
 

@@ -5,7 +5,6 @@ lines; the whole module is also part of the default suite.
 """
 
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest

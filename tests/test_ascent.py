@@ -41,7 +41,7 @@ def test_harden_tie_goes_to_lowest_token():
 def test_harden_idempotent():
     space = DesignSpace.discrete(2, 3)
     once = decode([[0.1, 2.0, 0.3, -1.0, 0.0, 4.0]], space)
-    assert once.dtype == np.int64 and np.array_equal(once, [[1, 2]])
+    assert once.dtype == np.uint8 and np.array_equal(once, [[1, 2]])
     assert np.array_equal(decode(encode(once, space), space), once)
 
 
@@ -145,7 +145,7 @@ def test_discrete_ascent_produces_hard_finals():
     starts = [rng.integers(0, 3, size=4) for _ in range(6)]
     cfg = AscentConfig(steps=3, alpha=0.5, combiner=Combiner.MGDA)
     for traj in ascend_batch(starts, space, ens, cfg):
-        assert traj.final.dtype == np.int64 and traj.final.shape == (4,)
+        assert traj.final.dtype == np.uint8 and traj.final.shape == (4,)
         assert np.all((traj.final >= 0) & (traj.final < 3))
 
 
@@ -154,7 +154,7 @@ def test_discrete_zero_gradient_returns_start_hardened():
     ens = Ensemble(models=[zero_model(space.flat_dim)])
     start = np.array([2, 0])
     traj = ascend_batch([start], space, ens, AscentConfig(steps=4, alpha=1.0, combiner=Combiner.MEAN))[0]
-    assert traj.final.dtype == np.int64
+    assert traj.final.dtype == np.uint8
     assert np.array_equal(traj.final, start)
 
 

@@ -196,7 +196,7 @@ def test_onehot_roundtrip():
     assert x.shape == (1, 12) and x.sum() == 3.0
     assert np.array_equal(x[0].reshape(3, 4), np.eye(4)[toks[0]])
     back = decode(x, space)
-    assert back.dtype == np.int64 and np.array_equal(back, toks)
+    assert back.dtype == np.uint8 and np.array_equal(back, toks)
 
 
 def test_is_hard_rejects_relaxed():
@@ -235,7 +235,7 @@ def test_design_matrix_both_kinds():
 def test_check_designs_names_the_fault():
     space = DesignSpace.discrete(2, 4)
     got = check_designs([[3, 0], [1.0, 2.0]], space)
-    assert got.dtype == np.int64 and np.array_equal(got, [[3, 0], [1, 2]])
+    assert got.dtype == np.uint8 and np.array_equal(got, [[3, 0], [1, 2]])
     with pytest.raises(ValueError, match=r"shape \(1, 8\), the space expects \(N, 2\) raw tokens"):
         check_designs(encode([[1, 0]], space), space)
     with pytest.raises(ValueError, match=r"shape \(2,\)"):
@@ -249,6 +249,22 @@ def test_check_designs_names_the_fault():
     with pytest.raises(ValueError, match="raw coordinates"):
         check_designs([[1.0]], DesignSpace.continuous(2))
 
+
+
+def test_check_designs_checks_the_range_before_narrowing():
+    # a cast to uint8 before the check would wrap -1 to 255 and 256 to 0
+    space = DesignSpace.discrete(1, 256)
+    for bad in ([[-1]], [[256]]):
+        with pytest.raises(ValueError, match=r"token out of range \[0, 256\)"):
+            check_designs(bad, space)
+    assert check_designs([[255]], space).dtype == np.uint8
+
+
+def test_encode_of_narrow_tokens_matches_int64():
+    space = DesignSpace.discrete(8, 4)
+    narrow = encode(np.full((1, 8), 3, np.uint8), space)
+    wide = encode(np.full((1, 8), 3, np.int64), space)
+    assert narrow.dtype == wide.dtype and narrow.tobytes() == wide.tobytes()
 
 def test_dataset_validation():
     space = DesignSpace.discrete(2, 3)

@@ -32,7 +32,6 @@ from ensmbo.harness import (
     persist_report,
     report_markdown,
     results_payload,
-    run_dir_for,
     run_experiment,
 )
 from ensmbo.nn import TrainConfig

@@ -5,7 +5,8 @@ every public method of its classes must be used somewhere under ``src/``
 or ``bench/`` outside its own definition.  Code that only the tests call
 (oracles, reference implementations, readers of what the program writes)
 lives under ``tests/``.  The one exemption is an entry point named in
-``pyproject.toml``'s ``[project.scripts]``.
+``pyproject.toml``'s ``[project.scripts]``.  Every name that a module under
+``src/``, ``tests/`` or ``tools/`` imports is read in that module.
 """
 
 import ast
@@ -89,3 +90,26 @@ def test_every_package_name_is_used_by_the_program():
             if "." not in q.split(".", 1)[1]:  # a method's reads are part of its class's
                 live -= defs[q][1]
     assert unused == [], f"used by no code under src/ or bench/ (move them to tests/): {unused}"
+
+
+def _imported_names(tree):
+    """(line, bound name) of each import of a module but ``__future__``'s."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".", 1)[0]
+
+
+def test_every_import_is_read():
+    """A name is read where it is loaded, or where it is a parameter name
+    (a pytest fixture imported by name)."""
+    unread = []
+    for path in sorted(p for d in ("src", "tests", "tools") for p in (ROOT / d).rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        read |= {n.arg for n in ast.walk(tree) if isinstance(n, ast.arg)}
+        unread += [f"{path.relative_to(ROOT)}:{line} {name}"
+                   for line, name in _imported_names(tree) if name not in read]
+    assert unread == [], f"imported but never read: {unread}"

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -72,7 +74,7 @@ def test_minibind_matches_gather_reference_bitwise(seed):
     total = task.total_dataset()
     tokens = reference_minibind_tokens(8, 4)
     scores = reference_minibind_scores(tokens, task.params["A"], task.params["B"])
-    assert total.designs.dtype == tokens.dtype and total.designs.tobytes() == tokens.tobytes()
+    assert total.designs.dtype == np.uint8 and np.array_equal(total.designs, tokens)
     assert total.scores.dtype == scores.dtype and total.scores.tobytes() == scores.tobytes()
     assert task.y_min == scores.min() and task.y_max == scores.max()
 
@@ -83,6 +85,16 @@ def test_minibind_bottom_half_max_below_total_max(minibind):
     assert len(mbo) == 32_768
     assert mbo.scores.max() < total.scores.max()
 
+
+
+def test_minibind_oracle_scores_narrow_tokens(minibind):
+    assert minibind.oracle.score(np.full(8, 3, np.uint8)) == minibind.total_dataset().scores[65535]
+
+
+def test_minibind_mbo_set_pickles_in_one_byte_per_token(minibind):
+    # what each training worker receives: 32,768 x 8 tokens and their scores
+    mbo = select_bottom_fraction(minibind.total_dataset(), 0.5)
+    assert len(pickle.dumps(mbo, protocol=5)) <= 600_000
 
 def test_minibind_oracle_refuses_onehot(minibind):
     x = encode([[0, 1, 2, 3, 0, 1, 2, 3]], minibind.space)
@@ -107,7 +119,7 @@ def test_minibind_128_trajectories_yield_valid_tokens(minibind):
     trajs = ascend_batch(list(starts.designs), minibind.space, ens, cfg)
     assert len(trajs) == 128
     for traj in trajs:
-        assert traj.final.dtype == np.int64 and traj.final.shape == (8,)
+        assert traj.final.dtype == np.uint8 and traj.final.shape == (8,)
         assert np.all((traj.final >= 0) & (traj.final < 4))
 
 
