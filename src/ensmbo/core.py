@@ -1,9 +1,9 @@
 """Shared domain types for offline model-based optimization.
 
-Design spaces (discrete token sequences or continuous vectors), immutable
-datasets of scored designs, score metrics, and the CSV interchange format.
-All numerics are float64; selection operations are pure and never mutate
-their inputs.
+Design spaces (discrete token sequences or continuous vectors), datasets
+of scored designs that own their arrays read-only, score metrics, and the
+CSV interchange format.  All numerics are float64; selection operations
+are pure and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -111,6 +111,10 @@ class Dataset:
     ``designs`` holds raw task units: (N, seq_len) tokens in the space's
     ``token_dtype`` for discrete spaces, (N, dim) float64 coordinates for
     continuous ones.  ``scores`` are raw task-unit objective values.
+
+    A Dataset owns the arrays it is handed: it keeps them without a copy
+    where their dtype allows and makes them read-only, so a write through
+    ``ds.designs`` raises.  A caller hands over an array it will not write.
     """
 
     space: DesignSpace
@@ -124,8 +128,9 @@ class Dataset:
             raise ValueError("designs must be (N, k) and scores (N,) with matching N")
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores must be finite")
-        object.__setattr__(self, "designs", designs)
-        object.__setattr__(self, "scores", scores)
+        for name, array in (("designs", designs), ("scores", scores)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return self.designs.shape[0]
@@ -142,7 +147,7 @@ def check_designs(designs, space: DesignSpace) -> np.ndarray:
     """Raw designs as an (N, raw_dim) array, or ValueError naming the fault:
     tokens in [0, vocab), in the space's ``token_dtype``, for a discrete
     space, finite float64 coordinates for a continuous one.  The range is
-    checked before the cast, which could wrap.  The array is a copy."""
+    checked before the cast, which could wrap.  An array of the checked dtype is not copied."""
     designs = np.asarray(designs)
     if designs.ndim != 2 or designs.shape[1] != space.raw_dim:
         unit = "tokens" if space.is_discrete else "coordinates"
@@ -153,8 +158,8 @@ def check_designs(designs, space: DesignSpace) -> np.ndarray:
             raise ValueError("discrete designs must be integer tokens; harden relaxed designs first")
         if designs.size and (designs.min() < 0 or designs.max() >= space.vocab):
             raise ValueError(f"token out of range [0, {space.vocab})")
-        return designs.astype(space.token_dtype)
-    designs = designs.astype(np.float64)
+        return designs.astype(space.token_dtype, copy=False)
+    designs = designs.astype(np.float64, copy=False)
     if not np.all(np.isfinite(designs)):
         raise ValueError("designs must be finite")
     return designs

@@ -231,10 +231,12 @@ def _prepare(cfg: ExperimentConfig):
     """
     if cfg.task in TASK_REGISTRY:
         task = get_task(cfg.task, cfg.task_seed)
-    elif Path(cfg.task).suffix == ".csv" and Path(cfg.task).exists():
+    elif Path(cfg.task).suffix != ".csv":
+        raise ValueError(f"unknown task '{cfg.task}' (not a registry name or CSV path)")
+    elif Path(cfg.task).exists():
         task = ingest_csv(Path(cfg.task))
     else:
-        raise ValueError(f"unknown task '{cfg.task}' (not a registry name or CSV path)")
+        raise ValueError(f"task CSV '{cfg.task}' does not exist")
     mbo = select_bottom_fraction(task.total_dataset(), cfg.k_fraction)
     if task.space.is_discrete:
         return task, mbo
@@ -567,10 +569,10 @@ def cmd_gen_task(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     name = Path(cfg.task).stem
     total_path = out / f"{name}_total.csv"
-    export_task_csv(task, total_path)
+    total = export_task_csv(task, total_path)
     mbo_path = out / f"{name}_mbo.csv"
     write_dataset_csv(mbo, mbo_path, task.y_min, task.y_max)
-    print(f"wrote {total_path} ({len(task.total_dataset())} rows) and {mbo_path} ({len(mbo)} rows)")
+    print(f"wrote {total_path} ({len(total)} rows) and {mbo_path} ({len(mbo)} rows)")
     return 0
 
 

@@ -21,6 +21,7 @@ training and tuning never touch ground truth.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,22 +53,27 @@ class Oracle:
 
 @dataclass(eq=False)
 class TaskSpec:
-    """A named task: design space, oracle, total dataset and its extremes."""
+    """A named task: design space, oracle, total dataset and its extremes.
+
+    ``total_dataset()`` hands the table the task was built with to its first
+    caller and keeps no reference to it; later calls build it again, bit for bit."""
 
     name: str
     space: DesignSpace
     oracle: Oracle | None
     y_min: float
     y_max: float
-    _total: Dataset = field(repr=False)
+    _build: Callable[[], Dataset] = field(repr=False)
     params: dict = field(default_factory=dict)
+    _total: Dataset | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (self.y_min < self.y_max):
             raise ValueError("task needs y_min < y_max")
 
     def total_dataset(self) -> Dataset:
-        return self._total
+        total, self._total = self._total, None
+        return self._build() if total is None else total
 
 
 def evaluate_oracle(task: TaskSpec, designs) -> list[float]:
@@ -77,9 +83,9 @@ def evaluate_oracle(task: TaskSpec, designs) -> list[float]:
     return [task.oracle.score(d) for d in check_designs(designs, task.space)]
 
 
-def _seeded_task(name: str, designs, scores, score_one, params: dict,
+def _seeded_task(name: str, designs, scores, score_one, params: dict, build,
                  space: DesignSpace | None = None) -> TaskSpec:
-    """A task over its total dataset, scored by ``score_one``.
+    """A task over its total dataset, scored by ``score_one`` and rebuilt by ``build``.
 
     Without ``space`` the designs are continuous, with the identity
     statistics: a run normalizes with its MBO set's (``harness._prepare``).
@@ -87,7 +93,7 @@ def _seeded_task(name: str, designs, scores, score_one, params: dict,
     if space is None:
         space = DesignSpace.continuous(designs.shape[1])
     return TaskSpec(name=name, space=space, oracle=Oracle(fn=score_one),
-                    y_min=float(scores.min()), y_max=float(scores.max()), params=params,
+                    y_min=float(scores.min()), y_max=float(scores.max()), params=params, _build=build,
                     _total=Dataset(space=space, designs=designs, scores=scores))
 
 
@@ -150,7 +156,8 @@ def make_minibind(seed: int) -> TaskSpec:
     def lookup(design: np.ndarray) -> float:
         return float(scores[int(design @ powers)])
 
-    return _seeded_task("minibind", tokens, scores, lookup, {"A": a, "B": b}, space)
+    return _seeded_task("minibind", tokens, scores, lookup, {"A": a, "B": b},
+                        lambda: Dataset(space=space, designs=_enumerate_tokens(space), scores=scores), space)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +181,8 @@ def make_ridge(seed: int) -> TaskSpec:
     ceil(16/4) = 4 coordinates, u a seeded unit vector, beta = 5, and
     s(t) = 10*t/(1+|t|).  The 20,000-point total dataset samples
     x_perp ~ N(0, 0.1^2), so off-manifold excursions are punished by the
-    oracle but invisible to proxies trained on the data.
+    oracle but invisible to proxies trained on the data.  x_par is drawn,
+    scored and copied into the table, and dropped, before x_perp is drawn.
     """
     k = math.ceil(RIDGE_DIM / 4)
     rng = np.random.default_rng(seed)
@@ -185,12 +193,19 @@ def make_ridge(seed: int) -> TaskSpec:
         t = float(u @ x[:k])
         return float(_saturating_gain(np.asarray(t)) - RIDGE_BETA * float(x[k:] @ x[k:]))
 
+    designs = np.empty((RIDGE_SIZE, RIDGE_DIM))
     x_par = rng.standard_normal((RIDGE_SIZE, k))
+    gain = _saturating_gain(x_par @ u)
+    designs[:, :k] = x_par
+    del x_par
     x_perp = rng.standard_normal((RIDGE_SIZE, RIDGE_DIM - k))
     x_perp *= RIDGE_NOISE
-    designs = np.hstack([x_par, x_perp])
-    scores = _saturating_gain(x_par @ u) - RIDGE_BETA * np.sum(np.square(x_perp, out=x_perp), axis=1)
-    return _seeded_task("ridge", designs, scores, score_one, {"u": u, "k": k, "beta": RIDGE_BETA})
+    designs[:, k:] = x_perp
+    penalty = np.sum(np.square(x_perp, out=x_perp), axis=1)
+    del x_perp
+    scores = gain - RIDGE_BETA * penalty
+    return _seeded_task("ridge", designs, scores, score_one, {"u": u, "k": k, "beta": RIDGE_BETA},
+                        lambda: make_ridge(seed).total_dataset())
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +232,8 @@ def make_bowl(seed: int) -> TaskSpec:
     designs = x_star + rng.standard_normal((BOWL_SIZE, BOWL_DIM))
     diffs = designs - x_star
     scores = -np.sum(diffs**2, axis=1)
-    return _seeded_task("bowl", designs, scores, score_one, {"x_star": x_star})
+    return _seeded_task("bowl", designs, scores, score_one, {"x_star": x_star},
+                        lambda: make_bowl(seed).total_dataset())
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +253,11 @@ def get_task(name: str, seed: int) -> TaskSpec:
     return TASK_REGISTRY[name](seed)
 
 
-def export_task_csv(task: TaskSpec, csv_path) -> None:
-    write_dataset_csv(task.total_dataset(), csv_path, task.y_min, task.y_max)
+def export_task_csv(task: TaskSpec, csv_path) -> Dataset:
+    """Write the task's total dataset to ``csv_path`` and return it."""
+    total = task.total_dataset()
+    write_dataset_csv(total, csv_path, task.y_min, task.y_max)
+    return total
 
 
 def ingest_csv(csv_path) -> TaskSpec:
@@ -248,11 +267,5 @@ def ingest_csv(csv_path) -> TaskSpec:
     back to proxy-predicted scores flagged as unverified.
     """
     ds, meta = read_dataset_csv(csv_path)
-    return TaskSpec(
-        name=f"external:{csv_path}",
-        space=ds.space,
-        oracle=None,
-        y_min=float(meta["y_min_total"]),
-        y_max=float(meta["y_max_total"]),
-        _total=ds,
-    )
+    return TaskSpec(name=f"external:{csv_path}", space=ds.space, oracle=None, y_min=float(meta["y_min_total"]),
+                    y_max=float(meta["y_max_total"]), _build=lambda: ds)

@@ -277,6 +277,27 @@ def test_dataset_validation():
                 scores=np.array([float("nan")]))
 
 
+def test_dataset_owns_the_arrays_it_is_handed():
+    designs, scores = np.random.default_rng(0).standard_normal((5, 2)), np.arange(5.0)
+    ds = Dataset(space=DesignSpace.continuous(2), designs=designs, scores=scores)
+    assert np.shares_memory(ds.designs, designs) and np.shares_memory(ds.scores, scores)
+    with pytest.raises(ValueError, match="read-only"):
+        ds.designs[0, 0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        ds.scores[0] = 0
+    space = DesignSpace.discrete(2, 4)
+    tokens = np.array([[0, 3], [2, 1]], dtype=np.uint8)
+    assert np.shares_memory(Dataset(space=space, designs=tokens, scores=np.zeros(2)).designs, tokens)
+    wide = tokens.astype(np.int64)
+    narrow = Dataset(space=space, designs=wide, scores=np.zeros(2)).designs
+    assert narrow.dtype == np.uint8 and np.array_equal(narrow, wide)
+    assert not np.shares_memory(narrow, wide) and wide.flags.writeable
+    # 260 would wrap to 4 and 256 to 0 in uint8: the range is checked first
+    for bad in (260, 256):
+        with pytest.raises(ValueError, match=r"token out of range \[0, 4\)"):
+            Dataset(space=space, designs=np.array([[0, bad]]), scores=np.zeros(1))
+
+
 def test_space_validation():
     with pytest.raises(ValueError):
         DesignSpace.discrete(0, 4)

@@ -5,6 +5,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from glob import glob
 from pathlib import Path
@@ -28,6 +29,7 @@ from ensmbo.harness import (
     _aggregate,
     _build_parser,
     _experiment_config,
+    _prepare,
     cli_main,
     persist_report,
     report_markdown,
@@ -89,6 +91,20 @@ def test_baseline_row_matches_mbo_max():
     task = get_task("bowl", 1)
     mbo = select_bottom_fraction(task.total_dataset(), 0.5)
     assert report.baseline_norm == normalize_score(float(mbo.scores.max()), task.y_min, task.y_max)
+
+
+def test_prepare_holds_the_mbo_set_once():
+    # ridge's total is 2.56 MB of designs and its MBO set 1.28 MB: a run holds
+    # neither the total nor a second MBO copy once its MBO set is drawn
+    np.random.default_rng(0)  # numpy.random allocates its own tables on first use
+    tracemalloc.start()
+    try:
+        _, mbo = _prepare(ExperimentConfig(task="ridge", task_seed=0))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(mbo) == 10_000
+    assert held <= 2.0e6 and peak <= 6.0e6, (held, peak)
 
 
 def test_oracle_accounting():
@@ -492,9 +508,12 @@ def test_cli_bad_n_trajectories_names_the_flag(value, tmp_path, capsys, no_train
     assert f"argument --n-trajectories: {value} is not a positive integer" in capsys.readouterr().err
 
 
-def test_cli_error_exits_1(capsys):
-    assert cli_main(["run", "--task", "nope"]) == 1
-    assert "error:" in capsys.readouterr().err
+def test_cli_error_exits_1(tmp_path, capsys):
+    missing = str(tmp_path / "nope.csv")
+    for task, error in (("nope", "unknown task 'nope' (not a registry name or CSV path)"),
+                        (missing, f"task CSV '{missing}' does not exist")):
+        assert cli_main(["run", "--task", task]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_cli_config_file(tmp_path):

@@ -1,4 +1,5 @@
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -190,6 +191,37 @@ def test_bowl_reference_pipeline_reaches_peak():
 # ---------------------------------------------------------------------------
 # registry / ingestion
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["minibind", "ridge", "bowl"])
+def test_total_dataset_is_handed_over_then_rebuilt_bit_for_bit(name, seed):
+    task = get_task(name, seed)
+    handed = weakref.ref(task.total_dataset())
+    assert handed() is None  # the task kept no reference to the table it handed over
+    built, again = task.total_dataset(), task.total_dataset()
+    assert built is not again
+    first = get_task(name, seed).total_dataset()  # the table a fresh task was built with
+    for ds in (built, again):
+        assert ds.designs.dtype == first.designs.dtype and ds.designs.tobytes() == first.designs.tobytes()
+        assert ds.scores.tobytes() == first.scores.tobytes()
+    assert (task.y_min, task.y_max) == (built.scores.min(), built.scores.max())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ridge_table_is_its_two_draws_side_by_side(seed):
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(4)  # the direction u
+    x_par = rng.standard_normal((20_000, 4))
+    x_perp = rng.standard_normal((20_000, 12)) * 0.1
+    assert make_ridge(seed).total_dataset().designs.tobytes() == np.hstack([x_par, x_perp]).tobytes()
+
+
+def test_ingested_task_keeps_returning_the_dataset_it_read(tmp_path):
+    path = tmp_path / "bowl.csv"
+    export_task_csv(make_bowl(0), path)
+    task = ingest_csv(path)
+    assert task.total_dataset() is task.total_dataset()
+
 
 def test_registry_lookup():
     assert get_task("bowl", 3).name == "bowl"
