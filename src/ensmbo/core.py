@@ -304,16 +304,19 @@ def write_dataset_csv(ds: Dataset, csv_path, y_min_total: float, y_max_total: fl
 
 
 def read_metadata(meta_path) -> dict:
-    with open(meta_path, encoding="utf-8") as f:
-        meta = json.load(f)
-    if "kind" not in meta:
-        raise ValueError("metadata missing key 'kind'")
-    kind = meta["kind"]
-    required = ["L", "V"] if kind == "discrete" else ["D"]
-    required += ["y_min_total", "y_max_total"]
-    for key in required:
+    """The metadata sidecar at ``meta_path``; a ValueError names the file and its fault."""
+    try:
+        meta = json.loads(Path(meta_path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"metadata sidecar {meta_path} cannot be read: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"metadata sidecar {meta_path} is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"metadata sidecar {meta_path} is not a JSON object")
+    shape = ["L", "V"] if meta.get("kind") == "discrete" else ["D"]
+    for key in ["kind", *shape, "y_min_total", "y_max_total"]:
         if key not in meta:
-            raise ValueError(f"metadata missing key '{key}'")
+            raise ValueError(f"metadata sidecar {meta_path} has no key '{key}'")
     return meta
 
 

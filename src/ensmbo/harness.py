@@ -12,12 +12,14 @@ Every command takes its settings from one ``ExperimentConfig``, resolved
 by ``_experiment_config``: each flag's ``dest`` is the field it sets, and
 a field comes from its flag, else the ``--config`` file (every command
 that trains), else the command's own default, else the dataclass
-default. ``ExperimentConfig.ascent_config`` builds every ascent setting.
-``_prepare`` builds the task and the MBO set for every command; the MBO
-set's space is the only one that carries normalization statistics, the
-run's, computed from the MBO designs alone. A ``RunReport`` carries the
-configuration it ran, and ``results_payload`` its record: ``results.json``
-holds it, and ``report.md`` is rendered from it and from it alone.
+default. ``ExperimentConfig`` checks every setting it holds, the ascent's
+through ``ascent_config``, before any task is built. ``_prepare`` builds
+the task and the MBO set for every command, and refuses a size setting
+larger than that set; the MBO set's space is the only one that carries
+normalization statistics, the run's, computed from the MBO designs
+alone. A ``RunReport`` carries the run's record, its ``payload``:
+``results.json`` holds it, and ``report.md`` is rendered from it and
+from it alone.
 
 Hyperparameter tuning is offline by construction: the ``tune`` command
 records proxy-prediction trajectories and never touches the oracle, and
@@ -116,6 +118,7 @@ class ExperimentConfig:
         if self.train.seed != TrainConfig.seed:
             raise ValueError(f"train.seed {self.train.seed} is not used: the run seeds "
                              "(--run-seeds, default the task seed) seed the proxies")
+        self.ascent_config(self.algorithms[0])  # steps, alpha and c, for every command
 
     def resolved_seeds(self) -> tuple:
         return tuple(self.run_seeds) if self.run_seeds else (self.task_seed,)
@@ -170,48 +173,20 @@ def _json_field(d: dict, name: str, kind: type, default, prefix: str = ""):
 class AlgoResult:
     algorithm: str
     run_seed: int
-    summary: ScoreSummary
     scores: np.ndarray
     finals_raw: np.ndarray  # raw task units (tokens or coordinates)
-    wall_clock: float
 
 
 @dataclass(eq=False)
 class RunReport:
-    config: ExperimentConfig
-    task_name: str
-    alpha: float  # resolved: config.alpha is None for the per-task default
-    cagrad_c: float
-    y_min: float
-    y_max: float
-    baseline_norm: float
-    proxy_only: bool
+    """A run: its record ``payload`` (``results.json`` holds it, ``report.md``
+    renders it) and what is written beside it."""
+
+    payload: dict
     space: DesignSpace  # raw task units, as the design CSVs are written
     results: list
-    val_metrics: dict
-    oracle_calls: dict
-    train_seconds: dict
+    timings: dict
     ensembles: dict = field(default_factory=dict, repr=False)
-
-
-def results_payload(report: RunReport) -> dict:
-    """The record of a run: ``results.json`` holds it, ``report.md`` renders it."""
-    return {
-        "config": asdict(report.config),
-        "task_name": report.task_name,
-        "y_min": report.y_min,
-        "y_max": report.y_max,
-        "baseline_norm": report.baseline_norm,
-        "proxy_only": report.proxy_only,
-        "algorithms": list(report.config.algorithms),
-        "run_seeds": list(report.config.resolved_seeds()),
-        "alpha": report.alpha,
-        "cagrad_c": report.cagrad_c,
-        "oracle_calls": report.oracle_calls,
-        "val_metrics": {str(rs): [[_metric(v) for v in pair] for pair in pairs]
-                        for rs, pairs in report.val_metrics.items()},
-        "summaries": {f"{r.algorithm}/seed{r.run_seed}": asdict(r.summary) for r in report.results},
-    }
 
 
 def _aggregate(payload: dict) -> dict:
@@ -224,32 +199,31 @@ def _aggregate(payload: dict) -> dict:
     return out
 
 
-def _prepare(cfg: ExperimentConfig):
+def _prepare(cfg: ExperimentConfig, *sizes):
     """The task and its MBO set, whose space is the one the run works in.
 
-    Continuous runs normalize with MBO-dataset statistics (offline data only).
+    Each of ``sizes`` is a (field, flag, value) setting that counts designs
+    drawn from the MBO set, or members that each validate on a fold of it;
+    one larger than the set is refused. Continuous runs normalize with
+    MBO-dataset statistics (offline data only).
     """
+    path = Path(cfg.task)
     if cfg.task in TASK_REGISTRY:
         task = get_task(cfg.task, cfg.task_seed)
-    elif Path(cfg.task).suffix != ".csv":
+    elif path.suffix != ".csv":
         raise ValueError(f"unknown task '{cfg.task}' (not a registry name or CSV path)")
-    elif Path(cfg.task).exists():
-        task = ingest_csv(Path(cfg.task))
+    elif path.is_file():
+        task = ingest_csv(path)
     else:
-        raise ValueError(f"task CSV '{cfg.task}' does not exist")
+        raise ValueError(f"task CSV '{cfg.task}' {'is not a file' if path.exists() else 'does not exist'}")
     mbo = select_bottom_fraction(task.total_dataset(), cfg.k_fraction)
+    for name, flag, value in sizes:
+        if value > len(mbo):
+            raise ValueError(f"{name} ({flag}) {value} exceeds the MBO dataset size {len(mbo)}")
     if task.space.is_discrete:
         return task, mbo
     space_run = task.space.with_stats(*stats_from_designs(mbo.designs))
     return task, Dataset(space=space_run, designs=mbo.designs, scores=mbo.scores)
-
-
-def _check_fits_mbo(mbo: Dataset, *settings) -> None:
-    """Refuse a (field, flag, value) setting larger than the MBO set: it
-    counts designs drawn from it, or members that each validate on a fold of it."""
-    for name, flag, value in settings:
-        if value > len(mbo):
-            raise ValueError(f"{name} ({flag}) {value} exceeds the MBO dataset size {len(mbo)}")
 
 
 def _proxy_scores(finals, space, ens: Ensemble) -> np.ndarray:
@@ -269,57 +243,53 @@ def _ascend(starts, space: DesignSpace, ens, acfg: AscentConfig, task_name: str,
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Full pipeline for one task over one or more run seeds."""
-    # Built before the task, so a bad setting is refused at once.
-    ascent_configs = {alg: cfg.ascent_config(alg) for alg in cfg.algorithms}
-    task, mbo = _prepare(cfg)  # a fresh task: its oracle has no calls yet
-    _check_fits_mbo(mbo, ("n_candidates", "--n-candidates", cfg.n_candidates),
-                    ("ensemble_size", "--m", cfg.ensemble_size))
+    task, mbo = _prepare(cfg, ("n_candidates", "--n-candidates", cfg.n_candidates),
+                         ("ensemble_size", "--m", cfg.ensemble_size))  # a fresh task: no oracle calls yet
     starts = select_top_n(mbo, cfg.n_candidates)
-    baseline_norm = normalize_score(float(mbo.scores.max()), task.y_min, task.y_max)
-
+    payload = {
+        "config": asdict(cfg),
+        "task_name": task.name,
+        "y_min": task.y_min,
+        "y_max": task.y_max,
+        "baseline_norm": normalize_score(float(mbo.scores.max()), task.y_min, task.y_max),
+        "proxy_only": task.oracle is None,
+        "algorithms": list(cfg.algorithms),
+        "run_seeds": list(cfg.resolved_seeds()),
+        "alpha": cfg.resolved_alpha(),  # config.alpha is None for the per-task default
+        "cagrad_c": cfg.resolved_cagrad_c(),
+        "val_metrics": {},
+        "summaries": {},
+    }
     results: list[AlgoResult] = []
-    val_metrics: dict = {}
-    train_seconds: dict = {}
+    timings: dict = {"train_seconds": {}, "algo_seconds": {}}
     ensembles: dict = {}
     for rs in cfg.resolved_seeds():
         t0 = time.perf_counter()
         ens = train_ensemble(mbo, cfg.ensemble_size, replace(cfg.train, seed=rs))
-        train_seconds[rs] = time.perf_counter() - t0
+        timings["train_seconds"][str(rs)] = time.perf_counter() - t0
         ensembles[rs] = ens
-        val_metrics[rs] = ens.validation_metrics()
-        for alg, acfg in ascent_configs.items():
+        payload["val_metrics"][str(rs)] = [[_metric(v) for v in pair] for pair in ens.validation_metrics()]
+        for alg in cfg.algorithms:
             a0 = time.perf_counter()
-            finals = np.array([t.final for t in _ascend(starts, mbo.space, ens, acfg, task.name, rs)])
+            trajs = _ascend(starts, mbo.space, ens, cfg.ascent_config(alg), task.name, rs)
+            finals = np.array([t.final for t in trajs])
             if task.oracle is not None:
                 if task.oracle.calls != sum(r.scores.shape[0] for r in results):
                     raise RuntimeError("oracle was touched outside the evaluation stage")
                 scores = np.asarray(evaluate_oracle(task, finals))
             else:
                 scores = _proxy_scores(finals, mbo.space, ens)
-            summary = summarize_scores(scores, task.y_min, task.y_max)
-            results.append(AlgoResult(algorithm=alg, run_seed=rs, summary=summary, scores=scores,
-                                      finals_raw=finals, wall_clock=time.perf_counter() - a0))
+            key = f"{alg}/seed{rs}"
+            payload["summaries"][key] = asdict(summarize_scores(scores, task.y_min, task.y_max))
+            results.append(AlgoResult(algorithm=alg, run_seed=rs, scores=scores, finals_raw=finals))
+            timings["algo_seconds"][key] = time.perf_counter() - a0
 
     eval_calls = task.oracle.calls if task.oracle is not None else 0
     expected = cfg.n_candidates * len(cfg.algorithms) * len(cfg.resolved_seeds())
     if task.oracle is not None and eval_calls != expected:
         raise RuntimeError(f"oracle accounting mismatch: {eval_calls} != {expected}")
-    return RunReport(
-        config=cfg,
-        task_name=task.name,
-        alpha=cfg.resolved_alpha(),
-        cagrad_c=cfg.resolved_cagrad_c(),
-        y_min=task.y_min,
-        y_max=task.y_max,
-        baseline_norm=baseline_norm,
-        proxy_only=task.oracle is None,
-        space=task.space,
-        results=results,
-        val_metrics=val_metrics,
-        oracle_calls={"training_and_ascent": 0, "evaluation": eval_calls},
-        train_seconds=train_seconds,
-        ensembles=ensembles,
-    )
+    payload["oracle_calls"] = {"training_and_ascent": 0, "evaluation": eval_calls}
+    return RunReport(payload=payload, space=task.space, results=results, timings=timings, ensembles=ensembles)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +330,7 @@ def _table(title: str, header: str, rows: list, extra_rows=()) -> list:
 
 
 def report_markdown(payload: dict) -> str:
-    """The markdown report of a run's ``results_payload`` (or its ``results.json``)."""
+    """The markdown report of a run's ``RunReport.payload`` (or its ``results.json``)."""
     agg = _aggregate(payload)
     cfg = payload["config"]
     multi = len(payload["run_seeds"]) > 1
@@ -432,21 +402,16 @@ def run_dir_for(cfg: ExperimentConfig) -> Path:
 
 def persist_report(report: RunReport, run_dir: Path) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
+    payload = report.payload
     for r in report.results:
         path = run_dir / f"designs_{r.algorithm}_seed{r.run_seed}.csv"
         ds = Dataset(space=report.space, designs=r.finals_raw, scores=r.scores)
-        write_dataset_csv(ds, path, report.y_min, report.y_max)
+        write_dataset_csv(ds, path, payload["y_min"], payload["y_max"])
     for rs, ens in report.ensembles.items():
         save_ensemble(ens, run_dir / f"ensemble_seed{rs}.bin")
-    payload = results_payload(report)
-    (run_dir / "results.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    for name, record in (("results.json", payload), ("timings.json", report.timings)):
+        (run_dir / name).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     (run_dir / "report.md").write_text(report_markdown(payload), encoding="utf-8")
-    timings = {"train_seconds": {str(k): v for k, v in report.train_seconds.items()},
-               "algo_seconds": {f"{r.algorithm}/seed{r.run_seed}": r.wall_clock for r in report.results}}
-    (run_dir / "timings.json").write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n",
-                                          encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +543,7 @@ def cmd_gen_task(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _task_seeded(_experiment_config(args))
-    task, mbo = _prepare(cfg)
-    _check_fits_mbo(mbo, ("ensemble_size", "--m", cfg.ensemble_size))
+    task, mbo = _prepare(cfg, ("ensemble_size", "--m", cfg.ensemble_size))
     ens = train_ensemble(mbo, cfg.ensemble_size, replace(cfg.train, seed=cfg.task_seed))
     out = _out_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -593,15 +557,12 @@ def cmd_train(args) -> int:
 
 def cmd_tune(args) -> int:
     cfg = _task_seeded(_experiment_config(args, algorithms=("mean",)))
-    # Built before any training, so a bad setting is refused at once.
-    ascent_configs = {alg: cfg.ascent_config(alg, record=True) for alg in cfg.algorithms}
-    task, mbo = _prepare(cfg)
-    _check_fits_mbo(mbo, ("ensemble_size", "--m", cfg.ensemble_size))
-    calls_before = task.oracle.calls if task.oracle is not None else 0
-    starts = select_top_n(mbo, min(args.n_trajectories, len(mbo)))
+    task, mbo = _prepare(cfg, ("n_trajectories", "--n-trajectories", args.n_trajectories),
+                         ("ensemble_size", "--m", cfg.ensemble_size))
+    starts = select_top_n(mbo, args.n_trajectories)
     ens = train_ensemble(mbo, cfg.ensemble_size, replace(cfg.train, seed=cfg.task_seed))
-    trajs = {alg: _ascend(starts, mbo.space, ens, acfg, task.name, cfg.task_seed)
-             for alg, acfg in ascent_configs.items()}
+    trajs = {alg: _ascend(starts, mbo.space, ens, cfg.ascent_config(alg, record=True), task.name, cfg.task_seed)
+             for alg in cfg.algorithms}
     out = _out_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     for alg, alg_trajs in trajs.items():
@@ -609,8 +570,7 @@ def cmd_tune(args) -> int:
             path = out / f"{Path(cfg.task).stem}_trajectory_{alg}_seed{cfg.task_seed}_{i}.csv"
             write_trajectory_csv(traj, path)
             print(f"wrote {path}")
-    calls_after = task.oracle.calls if task.oracle is not None else 0
-    if calls_after != calls_before:
+    if task.oracle is not None and task.oracle.calls:  # a fresh task's oracle starts at 0
         raise RuntimeError("tuning touched the oracle; offline protocol violated")
     print("oracle calls during tuning: 0")
     return 0

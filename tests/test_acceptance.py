@@ -18,7 +18,7 @@ from ensmbo.combine import (
     solve_mgda_dual,
 )
 from ensmbo.core import DesignSpace
-from ensmbo.harness import ExperimentConfig, _aggregate, persist_report, results_payload, run_experiment
+from ensmbo.harness import ExperimentConfig, _aggregate, persist_report, run_experiment
 from ensmbo.nn import Ensemble, TrainConfig, init_mlp
 
 from helpers import (
@@ -178,14 +178,14 @@ def test_criterion_6_directional_reproduction():
     for task_name in ("minibind", "ridge"):
         cfg = ExperimentConfig(task=task_name, task_seed=0, run_seeds=SEEDS)
         report = run_experiment(cfg)
-        agg = _aggregate(results_payload(report))
+        agg = _aggregate(report.payload)
         single_mean = agg["single"]["mean"][0]
         single_p50 = agg["single"]["p50"][0]
         for alg in ("mgda", "cagrad"):
             assert agg[alg]["mean"][0] >= single_mean, (task_name, alg, "mean")
             assert agg[alg]["p50"][0] >= single_p50, (task_name, alg, "p50")
         for alg in ("mean", "min", "mgda", "cagrad"):
-            assert agg[alg]["max_norm"][0] >= report.baseline_norm, (task_name, alg)
+            assert agg[alg]["max_norm"][0] >= report.payload["baseline_norm"], (task_name, alg)
         details.append(
             f"{task_name}: single mean={single_mean:.3f} p50={single_p50:.3f}; "
             f"mgda mean={agg['mgda']['mean'][0]:.3f} p50={agg['mgda']['p50'][0]:.3f}; "
@@ -203,8 +203,8 @@ def test_criterion_7_protocol_fidelity(tmp_path):
         train=TrainConfig(epochs=2, batch_size=256),
     )
     report = run_experiment(cfg)
-    assert report.oracle_calls["training_and_ascent"] == 0
-    assert report.oracle_calls["evaluation"] == 128 * 5
+    assert report.payload["oracle_calls"]["training_and_ascent"] == 0
+    assert report.payload["oracle_calls"]["evaluation"] == 128 * 5
 
     # tuning path never touches the oracle
     from ensmbo.harness import cli_main

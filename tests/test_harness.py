@@ -33,7 +33,6 @@ from ensmbo.harness import (
     cli_main,
     persist_report,
     report_markdown,
-    results_payload,
     run_experiment,
 )
 from ensmbo.nn import TrainConfig
@@ -80,7 +79,7 @@ def test_identical_seeds_identical_reports(tmp_path):
     cfg = fast_config(out_dir=str(tmp_path / "a"))
     r1 = run_experiment(cfg)
     r2 = run_experiment(cfg)
-    assert report_markdown(results_payload(r1)) == report_markdown(results_payload(r2))
+    assert report_markdown(r1.payload) == report_markdown(r2.payload)
     for a, b in zip(r1.results, r2.results):
         assert np.array_equal(a.scores, b.scores)
 
@@ -90,7 +89,7 @@ def test_baseline_row_matches_mbo_max():
     report = run_experiment(cfg)
     task = get_task("bowl", 1)
     mbo = select_bottom_fraction(task.total_dataset(), 0.5)
-    assert report.baseline_norm == normalize_score(float(mbo.scores.max()), task.y_min, task.y_max)
+    assert report.payload["baseline_norm"] == normalize_score(float(mbo.scores.max()), task.y_min, task.y_max)
 
 
 def test_prepare_holds_the_mbo_set_once():
@@ -110,15 +109,15 @@ def test_prepare_holds_the_mbo_set_once():
 def test_oracle_accounting():
     cfg = fast_config(algorithms=("single", "mgda"))
     report = run_experiment(cfg)
-    assert report.oracle_calls["training_and_ascent"] == 0
-    assert report.oracle_calls["evaluation"] == 8 * 2
+    assert report.payload["oracle_calls"]["training_and_ascent"] == 0
+    assert report.payload["oracle_calls"]["evaluation"] == 8 * 2
 
 
 def test_multi_seed_aggregation():
     cfg = fast_config(algorithms=("mean",), run_seeds=(1, 2))
     report = run_experiment(cfg)
-    agg = _aggregate(results_payload(report))
-    vals = [r.summary.mean for r in report.results]
+    agg = _aggregate(report.payload)
+    vals = [s["mean"] for s in report.payload["summaries"].values()]
     assert agg["mean"]["mean"][0] == pytest.approx(np.mean(vals))
     assert agg["mean"]["mean"][1] == pytest.approx(np.std(vals))
 
@@ -136,7 +135,7 @@ def test_rejects_bad_algorithms_and_sizes():
 def test_validation_metrics_present():
     cfg = fast_config(algorithms=("mean",))
     report = run_experiment(cfg)
-    pairs = report.val_metrics[1]
+    pairs = report.payload["val_metrics"]["1"]
     assert len(pairs) == 2
     for rho, mse in pairs:
         assert -1.0 <= rho <= 1.0 and mse >= 0.0
@@ -148,7 +147,7 @@ def test_validation_metrics_present():
 
 def test_report_single_algorithm_is_best():
     cfg = fast_config(algorithms=("mean",))
-    text = report_markdown(results_payload(run_experiment(cfg)))
+    text = report_markdown(run_experiment(cfg).payload)
     assert "| dataset |" in text
     assert text.count("**") >= 2  # the single row is marked best
     assert "ties break toward the" in text
@@ -167,8 +166,8 @@ def test_report_tie_rule_marks_earlier_row():
 def test_report_multi_seed_cells_and_footer():
     cfg = fast_config(algorithms=("single", "mean"), run_seeds=(1, 2))
     report = run_experiment(cfg)
-    text = report_markdown(results_payload(report))
-    agg = _aggregate(results_payload(report))
+    text = report_markdown(report.payload)
+    agg = _aggregate(report.payload)
     tables = {"max_norm": "## Max (normalized)", "p50_norm": "## 50th percentile",
               "mean": "## Average (raw)", "mean_norm": "## Average (normalized)"}
     for metric, title in tables.items():
@@ -188,7 +187,7 @@ def test_report_multi_seed_cells_and_footer():
 
 def test_report_tables_present():
     cfg = fast_config(algorithms=("single", "mean"))
-    text = report_markdown(results_payload(run_experiment(cfg)))
+    text = report_markdown(run_experiment(cfg).payload)
     assert "## Max (normalized)" in text
     assert "## 50th percentile (normalized)" in text
     assert "## Average (raw)" in text
@@ -211,10 +210,11 @@ def test_persist_and_reload_recomputes_from_csv(tmp_path):
     # report values equal recomputation from the persisted raw scores
     for r in report.results:
         ds, _ = read_dataset_csv(run_dir / f"designs_{r.algorithm}_seed{r.run_seed}.csv")
-        s = summarize_scores(ds.scores, report.y_min, report.y_max)
-        assert s.max == r.summary.max
-        assert s.p50 == r.summary.p50
-        assert s.mean == pytest.approx(r.summary.mean, rel=1e-15)
+        s = summarize_scores(ds.scores, report.payload["y_min"], report.payload["y_max"])
+        summary = report.payload["summaries"][f"{r.algorithm}/seed{r.run_seed}"]
+        assert s.max == summary["max"]
+        assert s.p50 == summary["p50"]
+        assert s.mean == pytest.approx(summary["mean"], rel=1e-15)
     payload = json.loads((run_dir / "results.json").read_text())
     assert report_markdown(payload) == (run_dir / "report.md").read_text()
 
@@ -239,7 +239,7 @@ def test_golden_minibind_report(tmp_path):
         train=TrainConfig(epochs=2, batch_size=1024),
     )
     report = run_experiment(cfg)
-    text = report_markdown(results_payload(report))
+    text = report_markdown(report.payload)
     if not GOLDEN.exists():  # pragma: no cover - snapshot bootstrap
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN.write_text(text, encoding="utf-8")
@@ -516,6 +516,26 @@ def test_cli_error_exits_1(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("sidecar, error", [
+    (None, "metadata sidecar {meta} cannot be read: No such file or directory"),
+    ("dir", "task CSV '{csv}' is not a file"),
+    ("not json", "metadata sidecar {meta} is not JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("[1]", "metadata sidecar {meta} is not a JSON object"),
+    ('{"kind": "discrete", "L": 2, "y_min_total": 0.0, "y_max_total": 1.0}', "metadata sidecar {meta} has no key 'V'"),
+], ids=["missing", "csv-is-a-directory", "not-json", "list", "no-V"])
+def test_csv_task_sidecar_fault_names_the_sidecar(sidecar, error, tmp_path, capsys, no_training):
+    csv_path, meta_path, out = tmp_path / "a.csv", tmp_path / "a.meta.json", tmp_path / "out"
+    if sidecar == "dir":
+        csv_path.mkdir()
+    else:
+        csv_path.write_text("t_0,t_1,y\n0,1,0.5\n1,0,0.25\n", encoding="utf-8")
+    if sidecar not in (None, "dir"):
+        meta_path.write_text(sidecar, encoding="utf-8")
+    assert cli_main(["run", "--task", str(csv_path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {error.format(csv=csv_path, meta=meta_path)}\n")
+    assert not out.exists()
+
+
 def test_cli_config_file(tmp_path):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps({
@@ -599,9 +619,9 @@ def test_proxy_only_run_from_csv(tmp_path, capsys):
         algorithms=("mean",), train=FAST_TRAIN, alpha=0.05,
     )
     report = run_experiment(cfg)
-    assert report.proxy_only
-    assert report.oracle_calls["evaluation"] == 0
-    assert "UNVERIFIED" in report_markdown(results_payload(report))
+    assert report.payload["proxy_only"]
+    assert report.payload["oracle_calls"]["evaluation"] == 0
+    assert "UNVERIFIED" in report_markdown(report.payload)
 
 
 def _strict_json(path):
@@ -860,6 +880,8 @@ def test_run_refuses_a_bad_config_file_by_name_before_the_task_is_built(text, fl
     (["train", "--k", "0.0001"], "ensemble_size (--m) 6 exceeds the MBO dataset size 1"),
     (["run", "--k", "0.0001"], "n_candidates (--n-candidates) 128 exceeds the MBO dataset size 1"),
     (["run", "--n-candidates", "6000"], "n_candidates (--n-candidates) 6000 exceeds the MBO dataset size 5000"),
+    (["tune", "--n-trajectories", "999999"],
+     "n_trajectories (--n-trajectories) 999999 exceeds the MBO dataset size 5000"),
 ])
 def test_bad_size_names_its_flag_and_value_before_training(argv, error, tmp_path, capsys, no_training):
     out = tmp_path / "out"
@@ -886,6 +908,9 @@ def test_bad_size_names_its_flag_and_value_before_training(argv, error, tmp_path
     (["train", "--seed", "-1"], None, "task_seed (--seed) must be non-negative, got -1"),
     (["tune", "--seed", "-1"], None, "task_seed (--seed) must be non-negative, got -1"),
     (["run", "--combiner", "mean", "--cagrad-c", "5"], None, "CAGrad c must lie in [0, 1)"),
+    (["train"], {"steps": -5}, "steps must be >= 0"),
+    (["train"], {"alpha": -1}, "alpha must be positive"),
+    (["train"], {"cagrad_c": 2}, "CAGrad c must lie in [0, 1)"),
 ])
 def test_bad_setting_is_named_before_the_task_is_built(argv, config, error, tmp_path, capsys, monkeypatch,
                                                       no_training):
@@ -910,10 +935,11 @@ def test_every_setting_has_a_json_type_and_a_number_takes_an_integer():
     assert (cfg.alpha, cfg.cagrad_c, cfg.out_dir, cfg.k_fraction, cfg.train.learning_rate) == (None, None, None, 1, 1)
 
 
-def test_persist_writes_null_for_any_nonfinite_metric(tmp_path):
-    cfg = fast_config(algorithms=("mean",), steps=1)
-    report = replace(run_experiment(cfg), val_metrics={1: [(0.25, float("inf")), (float("nan"), 0.5)]})
-    persist_report(report, tmp_path / "run")
+def test_persist_writes_null_for_any_nonfinite_metric(tmp_path, monkeypatch):
+    from ensmbo.nn import Ensemble
+
+    monkeypatch.setattr(Ensemble, "validation_metrics", lambda self: [(0.25, float("inf")), (float("nan"), 0.5)])
+    persist_report(run_experiment(fast_config(algorithms=("mean",), steps=1)), tmp_path / "run")
     payload = _strict_json(tmp_path / "run" / "results.json")
     assert payload["val_metrics"] == {"1": [[0.25, None], [None, 0.5]]}
 

@@ -15,7 +15,7 @@ _spec.loader.exec_module(memstages)
 
 
 @pytest.mark.skipif(not memstages.STATUS.exists(), reason="reads /proc/self/status, which only Linux has")
-def test_every_stage_has_a_row_and_the_high_water_mark_never_falls(tmp_path):
+def test_every_stage_has_a_row_and_the_high_water_mark_covers_the_resident_set(tmp_path):
     proc = subprocess.run([sys.executable, str(SCRIPT), "run", "--task", "bowl", "--m", "2", "--epochs", "1",
                            "--steps", "2", "--out", str(tmp_path)], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -24,8 +24,10 @@ def test_every_stage_has_a_row_and_the_high_water_mark_never_falls(tmp_path):
     rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines[2:]]
     assert {row[0] for row in rows} == set(memstages.STAGES)
     assert [row[0] for row in rows].count("ascend_batch") == 5
-    marks = [float(mark) for row in rows for mark in row[1:3]]
-    assert marks == sorted(marks)
+    readings = [(float(row[hwm]), float(row[hwm + 2])) for row in rows for hwm in (1, 2)]
+    # both from one read of the status file; VmHWM itself can fall by a few hundred kB between reads
+    assert all(hwm >= rss for hwm, rss in readings), readings
+    assert readings[-1][0] > readings[0][0]  # the task build alone raises it
     assert "artifacts in" in proc.stderr  # the command's own output
 
 

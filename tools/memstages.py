@@ -13,6 +13,12 @@ benchmark's ``peak_rss_mb``).  The command's own output goes to stderr, so
 stdout holds the table alone.  Training workers are processes of their
 own, and their memory is not counted.
 
+One read of the status file gives both numbers of a reading, so VmHWM is
+never below VmRSS within it.  Between two reads, VmHWM can fall by a few
+hundred kB: on Linux 6.18 with 2 CPUs it fell by 0.01-0.18 MB once per
+run, where ``run`` frees the task's total table, likely because the
+kernel derives it from approximate per-CPU RSS counters.
+
 Linux only: it exits 2 where ``/proc/self/status`` does not exist, and
 otherwise with the command's exit code.
 """
