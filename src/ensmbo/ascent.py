@@ -1,13 +1,13 @@
 """The design-optimization loop.
 
-Iterates x <- x + alpha*d for a fixed number of steps, where d comes from
-the configured gradient combiner.  Starts and final designs are raw task
-units; in between, the loop works in the representation ``core.encode``
-builds (relaxed one-hot for discrete designs, normalized coordinates for
-continuous ones), and ``core.decode`` turns the last iterate back into a
-design.  All trajectories of a batch advance in lockstep, and each is a
-pure function of its own start: it equals the trajectory the same start
-takes alone, bit for bit.
+Iterates x <- x + alpha*d for a fixed number of steps, where d comes from the
+configured gradient combiner.  Starts and final designs are raw task units; in
+between, the loop works in the representation ``core.encode`` builds (relaxed
+one-hot for discrete designs, normalized coordinates for continuous ones), and
+``core.decode`` turns the last iterate back into a design.  All trajectories
+of a batch advance in lockstep, and each is a pure function of its own start:
+it equals the trajectory the same start takes alone, bit for bit.  The loop
+keeps only its last iterate; a per-step observer sees every state.
 """
 
 from __future__ import annotations
@@ -42,12 +42,13 @@ class AscentConfig:
 
     def __post_init__(self):
         if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+            raise ValueError(f"steps (--steps) must be >= 0, got {self.steps}")
         if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+            raise ValueError(f"alpha (--alpha) must be positive, got {self.alpha}")
         if not np.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
-        CagradConfig(self.cagrad_c)  # validate range, whatever the combiner: every report prints c
+        if not 0.0 <= self.cagrad_c < 1.0:  # whatever the combiner: every report prints c
+            raise ValueError(f"cagrad_c (--cagrad-c) must lie in [0, 1), got {self.cagrad_c}")
 
 
 @dataclass(eq=False)
@@ -56,8 +57,8 @@ class Trajectory:
 
     ``final`` is the design in raw task units: tokens in the space's
     ``token_dtype`` for discrete spaces, coordinates for continuous ones.
-    When recording is on, ``xs``, ``preds`` and ``d_norms`` hold steps+1
-    states, ``xs`` in the optimization representation.
+    A recorded run's ``xs`` (in the optimization representation), ``preds``
+    and ``d_norms`` hold steps+1 states.
     """
 
     final: np.ndarray
@@ -88,27 +89,27 @@ class _ModelBank:
         return (vals[0], grads[0]) if x.ndim == 1 else (vals, grads)
 
 
-def _ascend_rows(X: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentConfig) -> list[Trajectory]:
+def _ascend_rows(X: np.ndarray, ens: Ensemble, cfg: AscentConfig, observe=None) -> np.ndarray:
     """The update loop over the rows of X (B, n), in the optimization
-    representation, all rows in lockstep.
+    representation, all rows in lockstep; returns the last iterate.
 
     Each step evaluates the members at every row at once and combines each
     row's gradients with the per-point combiner's arithmetic, warm-starting
     MGDA and CAGrad from the row's weights of the step before.  The first
     failing step raises RuntimeError naming its lowest failing row, the step
-    and the combiner, chained to the row's cause.
+    and the combiner, chained to the row's cause.  ``observe(k, X, vals, D)``,
+    if given, sees each state k = 0..steps once its checks pass: the iterate
+    (B, n), every member's values (B, m) and the direction (B, n).  So an
+    observed loop also combines at the last state.
     """
-    record = cfg.record_trajectory
-    only_first = cfg.combiner is Combiner.SINGLE and not record
+    only_first = cfg.combiner is Combiner.SINGLE and observe is None
     bank = _ModelBank(ens.models[:1] if only_first else ens.models)
     warm = np.full((X.shape[0], ens.size), np.nan)  # NaN: a cold start
 
     def direction(X):
         vals, grads = bank.value_and_grad(X)
-        failed = {}
         finite = np.isfinite(vals).all(axis=1) & np.isfinite(grads).all(axis=(1, 2))
-        for i in np.flatnonzero(~finite):
-            failed[int(i)] = FloatingPointError("non-finite model output")
+        failed = {int(i): FloatingPointError("non-finite model output") for i in np.flatnonzero(~finite)}
         rows = np.flatnonzero(finite)
         D = np.full(X.shape, np.nan)
         if cfg.combiner is Combiner.SINGLE:
@@ -130,8 +131,7 @@ def _ascend_rows(X: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentCo
             failed.setdefault(int(i), ValueError("combined gradient must be finite"))
         return vals, D, failed
 
-    xs, preds, d_norms = [], [], []
-    for k in range(cfg.steps + record):  # a recorded run also combines at the final state
+    for k in range(cfg.steps + (observe is not None)):  # an observer also sees the last state
         vals, D, failed = direction(X)
         if k < cfg.steps:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -139,25 +139,13 @@ def _ascend_rows(X: np.ndarray, space: DesignSpace, ens: Ensemble, cfg: AscentCo
             for i in np.flatnonzero(~np.isfinite(stepped).all(axis=1)):
                 failed.setdefault(int(i), FloatingPointError("non-finite iterate"))
         if failed:
-            row = min(failed)
-            cause = failed[row]
+            row, cause = min(failed.items())  # the lowest failing row
             raise RuntimeError(f"trajectory {row} failed at step {k} ({cfg.combiner.value}): {cause}") from cause
-        if record:
-            xs.append(X.copy())
-            preds.append(vals)
-            d_norms.append(np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0]))  # one dot per row, as a 1-D norm
+        if observe is not None:
+            observe(k, X, vals, D)
         if k < cfg.steps:
             X = stepped
-
-    out = []
-    for i, final in enumerate(decode(X, space)):
-        traj = Trajectory(final=final)
-        if record:
-            traj.xs = np.array([a[i] for a in xs])
-            traj.preds = np.array([a[i] for a in preds])
-            traj.d_norms = np.array([a[i] for a in d_norms])
-        out.append(traj)
-    return out
+    return X
 
 
 def ascend_batch(starts, space: DesignSpace, ens: Ensemble, cfg: AscentConfig) -> list[Trajectory]:
@@ -165,14 +153,13 @@ def ascend_batch(starts, space: DesignSpace, ens: Ensemble, cfg: AscentConfig) -
     order preserved, and each equal to the one its start takes alone.
 
     The single-model combiner uses ensemble member 0.  A recorded run
-    still evaluates every member, records all their predictions for tuning
-    plots and fails on any member's non-finite output; without recording
-    only member 0 is evaluated, so only member 0 can fail a ``single`` row.
-    Every failure raises RuntimeError chained to its cause: "trajectory i
-    failed: ..." for a start that ``core.check_designs`` refuses or an
-    ensemble whose input dimension does not match the space (i = 0), and
-    "trajectory i failed at step k (combiner): ..." for the lowest failing
-    row of the first failing step.  No starts raise ValueError."""
+    observes the loop to keep each state's iterate, predictions and ‖d‖, so
+    every member is evaluated and can fail a row; otherwise only member 0
+    can fail ``single``.  Every failure raises RuntimeError chained to its
+    cause: "trajectory i failed: ..." for a start that ``core.check_designs``
+    refuses or an ensemble whose input dimension does not match the space
+    (i = 0), and "trajectory i failed at step k (combiner): ..." for the
+    lowest failing row of the first failing step.  No starts raise ValueError."""
     starts = list(starts)
     if not starts:
         raise ValueError("no starting designs")
@@ -184,7 +171,16 @@ def ascend_batch(starts, space: DesignSpace, ens: Ensemble, cfg: AscentConfig) -
             rows.append(encode([start], space)[0])
         except ValueError as exc:
             raise RuntimeError(f"trajectory {i} failed: {exc}") from exc
-    return _ascend_rows(np.array(rows), space, ens, cfg)
+    if not cfg.record_trajectory:
+        return [Trajectory(final=final) for final in decode(_ascend_rows(np.array(rows), ens, cfg), space)]
+    states = []
+
+    def record(k, X, vals, D):  # ‖d‖ takes one dot per row, as a 1-D norm does
+        states.append((X.copy(), vals, np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])))
+
+    finals = decode(_ascend_rows(np.array(rows), ens, cfg, record), space)
+    xs, preds, d_norms = (np.stack(a, axis=1) for a in zip(*states))
+    return [Trajectory(final, xs[i], preds[i], d_norms[i]) for i, final in enumerate(finals)]
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -97,11 +97,11 @@ class ExperimentConfig:
     def __post_init__(self):
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
         if bad:
-            raise ValueError(f"unknown algorithms {bad}; choose from {list(ALGORITHMS)}")
+            raise ValueError(f"algorithms (--combiner) has unknown algorithms {bad}; choose from {list(ALGORITHMS)}")
         if not self.algorithms:
-            raise ValueError("need at least one algorithm")
+            raise ValueError("algorithms (--combiner) needs at least one algorithm, got []")
         if self.n_candidates < 1:
-            raise ValueError("n_candidates must be positive")
+            raise ValueError(f"n_candidates (--n-candidates) must be positive, got {self.n_candidates}")
         if not 0.0 < self.k_fraction <= 1.0:
             raise ValueError(f"k_fraction (--k) must be in (0, 1], got {self.k_fraction}")
         if self.ensemble_size < 1:
@@ -138,12 +138,16 @@ class ExperimentConfig:
                             cagrad_c=self.resolved_cagrad_c(), record_trajectory=record)
 
     @staticmethod
-    def from_dict(d: dict) -> "ExperimentConfig":
-        """The config of a JSON object, refusing a setting whose JSON type is not
-        its annotation's (a ``tuple[X, ...]`` takes a list, an ``X | None`` null)."""
+    def from_dict(d: dict, source: str = "the config") -> "ExperimentConfig":
+        """The config of a JSON object, refusing a key that names no setting
+        (the error names ``source``) and a setting whose JSON type is not its
+        annotation's (a ``tuple[X, ...]`` takes a list, an ``X | None`` null)."""
         d = dict(d)
         train = dict(_json_field(d, "train", dict, {}))
         for prefix, cls, given in (("", ExperimentConfig, d), ("train.", TrainConfig, train)):
+            unknown = [key for key in given if key not in {f.name for f in fields(cls)}]
+            if unknown:
+                raise ValueError(f"{source} sets {prefix}{unknown[0]}, which is not a setting")
             for name, hint in typing.get_type_hints(cls).items():
                 base, *rest = typing.get_args(hint) or (hint,)
                 if name not in given or base not in _JSON_KINDS:
@@ -216,7 +220,13 @@ def _prepare(cfg: ExperimentConfig, *sizes):
         task = ingest_csv(path)
     else:
         raise ValueError(f"task CSV '{cfg.task}' {'is not a file' if path.exists() else 'does not exist'}")
-    mbo = select_bottom_fraction(task.total_dataset(), cfg.k_fraction)
+    total = task.total_dataset()
+    try:
+        mbo = select_bottom_fraction(total, cfg.k_fraction)
+    except ValueError:  # k_fraction lies in (0, 1], so the selection is empty
+        raise ValueError(f"k_fraction (--k) {cfg.k_fraction} selects no design of the total dataset's "
+                         f"{len(total)}") from None
+    del total  # nothing else holds the table: free it before the run's statistics are computed
     for name, flag, value in sizes:
         if value > len(mbo):
             raise ValueError(f"{name} ({flag}) {value} exceeds the MBO dataset size {len(mbo)}")
@@ -502,20 +512,20 @@ def _experiment_config(args, **command_defaults) -> ExperimentConfig:
     ``dest`` is its name), else the ``--config`` file, else
     ``command_defaults``, else the ExperimentConfig default. ``--epochs``
     sets ``train.epochs`` and keeps the rest of the file's ``train``."""
-    d = dict(command_defaults)
-    if getattr(args, "config", None):
+    d, path = dict(command_defaults), getattr(args, "config", None)
+    if path:
         try:
-            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            loaded = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
-            raise ValueError(f"--config {args.config} is not JSON: {exc}") from None
+            raise ValueError(f"--config {path} is not JSON: {exc}") from None
         if not isinstance(loaded, dict):
-            raise ValueError(f"--config {args.config} is not a JSON object: {json.dumps(loaded)}")
+            raise ValueError(f"--config {path} is not a JSON object: {json.dumps(loaded)}")
         d.update(loaded)
     d.update({f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
               if getattr(args, f.name, None) is not None})
     if getattr(args, "epochs", None) is not None:
         d["train"] = dict(_json_field(d, "train", dict, {}), epochs=args.epochs)
-    return ExperimentConfig.from_dict(d)
+    return ExperimentConfig.from_dict(d, f"--config {path}")
 
 
 def _task_seeded(cfg: ExperimentConfig) -> ExperimentConfig:

@@ -143,10 +143,12 @@ class TrainConfig:
     hidden: tuple[int, ...] = (64, 64)
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
-            raise ValueError("epochs, batch_size and patience must be positive")
-        if self.learning_rate <= 0 or self.weight_decay < 0:
-            raise ValueError("bad optimizer constants")
+        for name in ("epochs", "batch_size", "patience", "learning_rate"):  # named as a --config file sets them
+            if getattr(self, name) <= 0:
+                flag = " (--epochs)" if name == "epochs" else ""
+                raise ValueError(f"train.{name}{flag} must be positive, got {getattr(self, name)}")
+        if self.weight_decay < 0:
+            raise ValueError(f"train.weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass(eq=False)

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ensmbo.ascent import (
     AscentConfig,
     Combiner,
+    _ascend_rows,
     _ModelBank,
     ascend_batch,
     write_trajectory_csv,
@@ -295,6 +298,27 @@ def test_recording_has_steps_plus_one_states():
     assert traj.preds.shape == (9, 3)
     assert traj.d_norms.shape == (9,)
     assert np.all(np.isfinite(traj.xs))
+
+
+@pytest.mark.parametrize("combiner", list(Combiner))
+def test_observer_sees_every_state_the_recorded_trajectory_holds(combiner):
+    space = identity_space(3)
+    rng = np.random.default_rng(12)
+    ens = Ensemble(models=[init_mlp(3, (8,), rng) for _ in range(3)])
+    starts = [rng.standard_normal(3) for _ in range(4)]
+    cfg = AscentConfig(steps=7, alpha=0.1, combiner=combiner, cagrad_c=0.4)
+    seen = []
+    last = _ascend_rows(encode(starts, space), ens, cfg,
+                        lambda k, X, vals, D: seen.append((k, X.copy(), vals.copy(), D.copy())))
+    assert [k for k, *_ in seen] == list(range(cfg.steps + 1))
+    assert np.array_equal(_ascend_rows(encode(starts, space), ens, cfg), last)
+    assert np.array_equal(seen[-1][1], last)
+    recorded = ascend_batch(starts, space, ens, replace(cfg, record_trajectory=True))
+    for i, traj in enumerate(recorded):
+        assert np.array_equal(traj.final, decode(last, space)[i])
+        assert np.array_equal(traj.xs, [X[i] for _, X, _, _ in seen])
+        assert np.array_equal(traj.preds, [vals[i] for _, _, vals, _ in seen])  # every member, even for single
+        assert np.array_equal(traj.d_norms, [np.linalg.norm(D[i]) for _, _, _, D in seen])
 
 
 def test_trajectory_csv_format(tmp_path):

@@ -469,11 +469,15 @@ def no_training(monkeypatch):
     monkeypatch.setattr(harness, "train_ensemble", train_ensemble)
 
 
-@pytest.mark.parametrize("argv, error", [
-    (["run", "--alpha", "0"], "alpha must be positive"),
-    (["run", "--cagrad-c", "1.5"], "CAGrad c must lie in [0, 1)"),
-    (["tune", "--combiner", "cagrad", "--cagrad-c", "1.5"], "CAGrad c must lie in [0, 1)"),
-    (["tune", "--alpha", "-1"], "alpha must be positive"),
+@pytest.mark.parametrize("argv, error", [  # explicit ids: these rows keep their earlier test names
+    pytest.param(["run", "--alpha", "0"], "alpha (--alpha) must be positive, got 0.0",
+                 id="argv0-alpha must be positive"),
+    pytest.param(["run", "--cagrad-c", "1.5"], "cagrad_c (--cagrad-c) must lie in [0, 1), got 1.5",
+                 id="argv1-CAGrad c must lie in [0, 1)"),
+    pytest.param(["tune", "--combiner", "cagrad", "--cagrad-c", "1.5"],
+                 "cagrad_c (--cagrad-c) must lie in [0, 1), got 1.5", id="argv2-CAGrad c must lie in [0, 1)"),
+    pytest.param(["tune", "--alpha", "-1"], "alpha (--alpha) must be positive, got -1.0",
+                 id="argv3-alpha must be positive"),
 ])
 def test_bad_ascent_setting_is_refused_before_training(argv, error, tmp_path, capsys, no_training):
     assert cli_main(argv + ["--task", "bowl", "--out", str(tmp_path)]) == 1
@@ -812,10 +816,12 @@ def test_tune_defaults_to_mean_and_traces_every_named_combiner(tmp_path):
             assert (both / path.name).read_bytes() == path.read_bytes(), path.name
 
 
-@pytest.mark.parametrize("combiners, error", [
-    ("nope", f"unknown algorithms ['nope']; choose from {list(ALGORITHMS)}"),
+@pytest.mark.parametrize("combiners, error", [  # explicit ids: these rows keep their earlier test names
+    pytest.param("nope", f"algorithms (--combiner) has unknown algorithms ['nope']; choose from {list(ALGORITHMS)}",
+                 id=f"nope-unknown algorithms ['nope']; choose from {list(ALGORITHMS)}"),
     ("mean,mean", "algorithms (--combiner) repeats 'mean'; give each once"),
-    ("", "need at least one algorithm"),
+    pytest.param("", "algorithms (--combiner) needs at least one algorithm, got []",
+                 id="-need at least one algorithm"),
 ])
 def test_tune_refuses_a_bad_combiner_list_before_training(combiners, error, tmp_path, capsys,
                                                           no_training):
@@ -850,7 +856,10 @@ def test_train_and_tune_refuse_run_seeds_before_the_task_is_built(command, run_s
     ('{"run_seeds": 5}', [], "run_seeds must be a JSON list, got 5"),
     ('{"train": {"hidden": 64}}', [], "train.hidden must be a JSON list, got 64"),
     ('{"train": 5}', ["--epochs", "2"], "train must be a JSON object, got 5"),
-], ids=["list", "not-json", "algorithms-string", "run-seeds-int", "hidden-int", "train-int-with-epochs"])
+    ('{"foo": 1}', [], "--config {path} sets foo, which is not a setting"),
+    ('{"train": {"sed": 3}}', ["--epochs", "2"], "--config {path} sets train.sed, which is not a setting"),
+], ids=["list", "not-json", "algorithms-string", "run-seeds-int", "hidden-int", "train-int-with-epochs",
+        "unknown-key", "unknown-train-key"])
 def test_run_refuses_a_bad_config_file_by_name_before_the_task_is_built(text, flags, error, tmp_path,
                                                                         capsys, monkeypatch):
     import ensmbo.harness as harness
@@ -882,6 +891,7 @@ def test_run_refuses_a_bad_config_file_by_name_before_the_task_is_built(text, fl
     (["run", "--n-candidates", "6000"], "n_candidates (--n-candidates) 6000 exceeds the MBO dataset size 5000"),
     (["tune", "--n-trajectories", "999999"],
      "n_trajectories (--n-trajectories) 999999 exceeds the MBO dataset size 5000"),
+    (["run", "--k", "1e-9"], "k_fraction (--k) 1e-09 selects no design of the total dataset's 10000"),
 ])
 def test_bad_size_names_its_flag_and_value_before_training(argv, error, tmp_path, capsys, no_training):
     out = tmp_path / "out"
@@ -907,10 +917,27 @@ def test_bad_size_names_its_flag_and_value_before_training(argv, error, tmp_path
     (["gen-task", "--seed", "-1"], None, "task_seed (--seed) must be non-negative, got -1"),
     (["train", "--seed", "-1"], None, "task_seed (--seed) must be non-negative, got -1"),
     (["tune", "--seed", "-1"], None, "task_seed (--seed) must be non-negative, got -1"),
-    (["run", "--combiner", "mean", "--cagrad-c", "5"], None, "CAGrad c must lie in [0, 1)"),
-    (["train"], {"steps": -5}, "steps must be >= 0"),
-    (["train"], {"alpha": -1}, "alpha must be positive"),
-    (["train"], {"cagrad_c": 2}, "CAGrad c must lie in [0, 1)"),
+    # explicit ids: the next four rows keep their earlier test names
+    pytest.param(["run", "--combiner", "mean", "--cagrad-c", "5"], None,
+                 "cagrad_c (--cagrad-c) must lie in [0, 1), got 5.0", id="argv16-None-CAGrad c must lie in [0, 1)"),
+    pytest.param(["train"], {"steps": -5}, "steps (--steps) must be >= 0, got -5",
+                 id="argv17-config17-steps must be >= 0"),
+    pytest.param(["train"], {"alpha": -1}, "alpha (--alpha) must be positive, got -1",
+                 id="argv18-config18-alpha must be positive"),
+    pytest.param(["train"], {"cagrad_c": 2}, "cagrad_c (--cagrad-c) must lie in [0, 1), got 2",
+                 id="argv19-config19-CAGrad c must lie in [0, 1)"),
+    (["run", "--epochs", "0"], None, "train.epochs (--epochs) must be positive, got 0"),
+    (["run", "--steps", "-1"], None, "steps (--steps) must be >= 0, got -1"),
+    (["run", "--alpha", "-1"], None, "alpha (--alpha) must be positive, got -1.0"),
+    (["run", "--cagrad-c", "2"], None, "cagrad_c (--cagrad-c) must lie in [0, 1), got 2.0"),
+    (["run", "--n-candidates", "0"], None, "n_candidates (--n-candidates) must be positive, got 0"),
+    (["run", "--combiner", ",,"], None, "algorithms (--combiner) needs at least one algorithm, got []"),
+    (["run", "--combiner", "foo"], None,
+     f"algorithms (--combiner) has unknown algorithms ['foo']; choose from {list(ALGORITHMS)}"),
+    (["run"], {"train": {"learning_rate": -1}}, "train.learning_rate must be positive, got -1"),
+    (["run"], {"train": {"weight_decay": -1e-3}}, "train.weight_decay must be >= 0, got -0.001"),
+    (["run"], {"train": {"batch_size": 0}}, "train.batch_size must be positive, got 0"),
+    (["run"], {"train": {"patience": 0}}, "train.patience must be positive, got 0"),
 ])
 def test_bad_setting_is_named_before_the_task_is_built(argv, config, error, tmp_path, capsys, monkeypatch,
                                                       no_training):
