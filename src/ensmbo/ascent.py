@@ -34,21 +34,13 @@ class Combiner(Enum):
 
 @dataclass(frozen=True)
 class AscentConfig:
+    """An ascent's settings, unchecked: ``harness.ExperimentConfig`` checks them where they enter."""
+
     steps: int = 200
     alpha: float = 0.1
     combiner: Combiner = Combiner.MEAN
     cagrad_c: float = 0.5
     record_trajectory: bool = False
-
-    def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError(f"steps (--steps) must be >= 0, got {self.steps}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha (--alpha) must be positive, got {self.alpha}")
-        if not np.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
-        if not 0.0 <= self.cagrad_c < 1.0:  # whatever the combiner: every report prints c
-            raise ValueError(f"cagrad_c (--cagrad-c) must lie in [0, 1), got {self.cagrad_c}")
 
 
 @dataclass(eq=False)

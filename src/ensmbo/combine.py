@@ -109,11 +109,9 @@ class CombinedGradient:
 
 @dataclass(frozen=True)
 class CagradConfig:
-    c: float = 0.5
+    """CAGrad's c, unchecked: ``harness.ExperimentConfig`` refuses one outside [0, 1) where it enters."""
 
-    def __post_init__(self):
-        if not (0.0 <= self.c < 1.0):
-            raise ValueError("CAGrad c must lie in [0, 1)")
+    c: float = 0.5
 
 
 # ---------------------------------------------------------------------------

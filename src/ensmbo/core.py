@@ -317,6 +317,9 @@ def read_metadata(meta_path) -> dict:
     for key in ["kind", *shape, "y_min_total", "y_max_total"]:
         if key not in meta:
             raise ValueError(f"metadata sidecar {meta_path} has no key '{key}'")
+    y_min, y_max = float(meta["y_min_total"]), float(meta["y_max_total"])
+    if not y_min < y_max:
+        raise ValueError(f"metadata sidecar {meta_path} needs y_min_total < y_max_total, got {y_min} and {y_max}")
     return meta
 
 

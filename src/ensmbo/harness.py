@@ -12,14 +12,14 @@ Every command takes its settings from one ``ExperimentConfig``, resolved
 by ``_experiment_config``: each flag's ``dest`` is the field it sets, and
 a field comes from its flag, else the ``--config`` file (every command
 that trains), else the command's own default, else the dataclass
-default. ``ExperimentConfig`` checks every setting it holds, the ascent's
-through ``ascent_config``, before any task is built. ``_prepare`` builds
-the task and the MBO set for every command, and refuses a size setting
-larger than that set; the MBO set's space is the only one that carries
-normalization statistics, the run's, computed from the MBO designs
-alone. A ``RunReport`` carries the run's record, its ``payload``:
-``results.json`` holds it, and ``report.md`` is rendered from it and
-from it alone.
+default. ``ExperimentConfig`` alone checks the settings and names their
+flags, before any task is built; the records it builds check nothing.
+``_prepare`` builds the task and the MBO set for every command, and
+refuses a size setting larger than that set; the MBO set's space is the
+only one that carries normalization statistics, the run's, computed from
+the MBO designs alone. A ``RunReport`` carries the run's record, its
+``payload``: ``results.json`` holds it, and ``report.md`` is rendered
+from it and from it alone.
 
 Hyperparameter tuning is offline by construction: the ``tune`` command
 records proxy-prediction trajectories and never touches the oracle, and
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -95,43 +96,49 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        bad = [a for a in self.algorithms if a not in ALGORITHMS]
-        if bad:
-            raise ValueError(f"algorithms (--combiner) has unknown algorithms {bad}; choose from {list(ALGORITHMS)}")
-        if not self.algorithms:
-            raise ValueError("algorithms (--combiner) needs at least one algorithm, got []")
-        if self.n_candidates < 1:
-            raise ValueError(f"n_candidates (--n-candidates) must be positive, got {self.n_candidates}")
-        if not 0.0 < self.k_fraction <= 1.0:
-            raise ValueError(f"k_fraction (--k) must be in (0, 1], got {self.k_fraction}")
-        if self.ensemble_size < 1:
-            raise ValueError(f"ensemble_size (--m) must be >= 1, got {self.ensemble_size}")
-        for name, flag, values in (("algorithms", "--combiner", self.algorithms),
-                                   ("run_seeds", "--run-seeds", self.run_seeds)):
-            repeats = [v for i, v in enumerate(values) if v in values[:i]]
-            if repeats:
-                raise ValueError(f"{name} ({flag}) repeats {repeats[0]!r}; give each once")
-        for name, flag, seeds in (("task_seed", "--seed", [self.task_seed]),
-                                  ("run_seeds", "--run-seeds", self.run_seeds)):
-            if any(s < 0 for s in seeds):
-                raise ValueError(f"{name} ({flag}) must be non-negative, got {min(seeds)}")
-        if self.train.seed != TrainConfig.seed:
-            raise ValueError(f"train.seed {self.train.seed} is not used: the run seeds "
-                             "(--run-seeds, default the task seed) seed the proxies")
-        self.ascent_config(self.algorithms[0])  # steps, alpha and c, for every command
+        """Refuses the first setting out of range, naming it, its flag where it has one, and
+        its value. Each range test fails NaN, or leaves it to the finite test after it."""
+        t, alpha, c = self.train, self.resolved_alpha(), self.resolved_cagrad_c()
+        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
+        repeat_alg, repeat_seed = (next((v for i, v in enumerate(vs) if v in vs[:i]), None)
+                                   for vs in (self.algorithms, self.run_seeds))
+        low_seed = min(self.run_seeds, default=0)
+        for ok, error in (
+            (t.epochs > 0, f"train.epochs (--epochs) must be positive, got {t.epochs}"),
+            (t.batch_size > 0, f"train.batch_size must be positive, got {t.batch_size}"),
+            (t.patience > 0, f"train.patience must be positive, got {t.patience}"),
+            (not t.learning_rate <= 0, f"train.learning_rate must be positive, got {t.learning_rate}"),
+            (math.isfinite(t.learning_rate), f"train.learning_rate must be finite, got {t.learning_rate}"),
+            (not t.weight_decay < 0, f"train.weight_decay must be >= 0, got {t.weight_decay}"),
+            (math.isfinite(t.weight_decay), f"train.weight_decay must be finite, got {t.weight_decay}"),
+            (all(w >= 1 for w in t.hidden), f"train.hidden widths must be >= 1, got {list(t.hidden)}"),
+            (not unknown, f"algorithms (--combiner) has unknown algorithms {unknown}; choose from {list(ALGORITHMS)}"),
+            (len(self.algorithms) > 0, "algorithms (--combiner) needs at least one algorithm, got []"),
+            (self.n_candidates >= 1, f"n_candidates (--n-candidates) must be positive, got {self.n_candidates}"),
+            (0.0 < self.k_fraction <= 1.0, f"k_fraction (--k) must be in (0, 1], got {self.k_fraction}"),
+            (self.ensemble_size >= 1, f"ensemble_size (--m) must be >= 1, got {self.ensemble_size}"),
+            (repeat_alg is None, f"algorithms (--combiner) repeats {repeat_alg!r}; give each once"),
+            (repeat_seed is None, f"run_seeds (--run-seeds) repeats {repeat_seed!r}; give each once"),
+            (self.task_seed >= 0, f"task_seed (--seed) must be non-negative, got {self.task_seed}"),
+            (low_seed >= 0, f"run_seeds (--run-seeds) must be non-negative, got {low_seed}"),
+            (t.seed == TrainConfig.seed, f"train.seed {t.seed} is not used: the run seeds "
+                                         "(--run-seeds, default the task seed) seed the proxies"),
+            (self.steps >= 0, f"steps (--steps) must be >= 0, got {self.steps}"),
+            (not alpha <= 0, f"alpha (--alpha) must be positive, got {alpha}"),
+            (math.isfinite(alpha), f"alpha (--alpha) must be finite, got {alpha}"),
+            (0.0 <= c < 1.0, f"cagrad_c (--cagrad-c) must lie in [0, 1), got {c}"),  # every report prints c
+        ):
+            if not ok:
+                raise ValueError(error)
 
     def resolved_seeds(self) -> tuple:
         return tuple(self.run_seeds) if self.run_seeds else (self.task_seed,)
 
     def resolved_alpha(self) -> float:
-        if self.alpha is not None:
-            return self.alpha
-        return TASK_DEFAULTS.get(self.task, {}).get("alpha", 0.05)
+        return self.alpha if self.alpha is not None else TASK_DEFAULTS.get(self.task, {}).get("alpha", 0.05)
 
     def resolved_cagrad_c(self) -> float:
-        if self.cagrad_c is not None:
-            return self.cagrad_c
-        return TASK_DEFAULTS.get(self.task, {}).get("cagrad_c", 0.5)
+        return self.cagrad_c if self.cagrad_c is not None else TASK_DEFAULTS.get(self.task, {}).get("cagrad_c", 0.5)
 
     def ascent_config(self, alg: str, record: bool = False) -> AscentConfig:
         return AscentConfig(steps=self.steps, alpha=self.resolved_alpha(), combiner=Combiner(alg),
@@ -236,19 +243,23 @@ def _prepare(cfg: ExperimentConfig, *sizes):
     return task, Dataset(space=space_run, designs=mbo.designs, scores=mbo.scores)
 
 
-def _proxy_scores(finals, space, ens: Ensemble) -> np.ndarray:
-    """Mean ensemble prediction of each raw final design."""
-    X = encode(finals, space)
-    return np.mean([model.forward_batch(X) for model in ens.models], axis=0)
+def _train(mbo: Dataset, cfg: ExperimentConfig, seed: int) -> Ensemble:
+    """``cfg``'s ensemble on ``mbo`` seeded by ``seed``; a training blow-up names the optimizer settings."""
+    try:
+        return train_ensemble(mbo, cfg.ensemble_size, replace(cfg.train, seed=seed))
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{exc} at train.learning_rate {cfg.train.learning_rate} and "
+                                 f"train.weight_decay {cfg.train.weight_decay}") from exc
 
 
 def _ascend(starts, space: DesignSpace, ens, acfg: AscentConfig, task_name: str, run_seed: int):
     """``ascend_batch`` over the designs of ``starts``; its error also names
-    the task and the run seed."""
+    the task and the run seed, and a non-finite value the step size."""
     try:
         return ascend_batch(list(starts.designs), space, ens, acfg)
     except RuntimeError as exc:
-        raise RuntimeError(f"task {task_name}, run seed {run_seed}: {exc}") from exc
+        at = f" at alpha (--alpha) {acfg.alpha}" if isinstance(exc.__cause__, FloatingPointError) else ""
+        raise RuntimeError(f"task {task_name}, run seed {run_seed}: {exc}{at}") from exc
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -275,7 +286,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     ensembles: dict = {}
     for rs in cfg.resolved_seeds():
         t0 = time.perf_counter()
-        ens = train_ensemble(mbo, cfg.ensemble_size, replace(cfg.train, seed=rs))
+        ens = _train(mbo, cfg, rs)
         timings["train_seconds"][str(rs)] = time.perf_counter() - t0
         ensembles[rs] = ens
         payload["val_metrics"][str(rs)] = [[_metric(v) for v in pair] for pair in ens.validation_metrics()]
@@ -283,14 +294,20 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             a0 = time.perf_counter()
             trajs = _ascend(starts, mbo.space, ens, cfg.ascent_config(alg), task.name, rs)
             finals = np.array([t.final for t in trajs])
-            if task.oracle is not None:
-                if task.oracle.calls != sum(r.scores.shape[0] for r in results):
-                    raise RuntimeError("oracle was touched outside the evaluation stage")
-                scores = np.asarray(evaluate_oracle(task, finals))
-            else:
-                scores = _proxy_scores(finals, mbo.space, ens)
+            if task.oracle is not None and task.oracle.calls != sum(r.scores.shape[0] for r in results):
+                raise RuntimeError("oracle was touched outside the evaluation stage")
             key = f"{alg}/seed{rs}"
-            payload["summaries"][key] = asdict(summarize_scores(scores, task.y_min, task.y_max))
+            try:  # a design stepped far out may score beyond float range: the error names the step size
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if task.oracle is not None:
+                        scores = np.asarray(evaluate_oracle(task, finals))
+                    else:  # the members' mean prediction
+                        X = encode(finals, mbo.space)
+                        scores = np.mean([model.forward_batch(X) for model in ens.models], axis=0)
+                    payload["summaries"][key] = asdict(summarize_scores(scores, task.y_min, task.y_max))
+            except ValueError as exc:
+                raise ValueError(f"task {task.name}, run seed {rs}: {exc} for {alg}'s final designs "
+                                 f"at alpha (--alpha) {cfg.resolved_alpha()}") from exc
             results.append(AlgoResult(algorithm=alg, run_seed=rs, scores=scores, finals_raw=finals))
             timings["algo_seconds"][key] = time.perf_counter() - a0
 
@@ -308,12 +325,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 
 def _fmt(v: float) -> str:
     return f"{v + 0.0:.6f}"  # +0.0 folds negative zero
-
-
-def _fmt_pair(mean: float, std: float, multi: bool) -> str:
-    if multi:
-        return f"{_fmt(mean)} ± {_fmt(std)}"
-    return _fmt(mean)
 
 
 def _mark(rows: list) -> list:
@@ -367,7 +378,7 @@ def report_markdown(payload: dict) -> str:
         out = []
         for alg in payload["algorithms"]:
             mean, std = agg[alg][metric]
-            out.append((DISPLAY_NAMES[alg], mean, _fmt_pair(mean, std, multi)))
+            out.append((DISPLAY_NAMES[alg], mean, f"{_fmt(mean)} ± {_fmt(std)}" if multi else _fmt(mean)))
         return out
 
     baseline = [("dataset", _fmt(payload["baseline_norm"]))]
@@ -554,7 +565,7 @@ def cmd_gen_task(args) -> int:
 def cmd_train(args) -> int:
     cfg = _task_seeded(_experiment_config(args))
     task, mbo = _prepare(cfg, ("ensemble_size", "--m", cfg.ensemble_size))
-    ens = train_ensemble(mbo, cfg.ensemble_size, replace(cfg.train, seed=cfg.task_seed))
+    ens = _train(mbo, cfg, cfg.task_seed)
     out = _out_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{Path(cfg.task).stem}_ensemble_seed{cfg.task_seed}.bin"
@@ -570,7 +581,7 @@ def cmd_tune(args) -> int:
     task, mbo = _prepare(cfg, ("n_trajectories", "--n-trajectories", args.n_trajectories),
                          ("ensemble_size", "--m", cfg.ensemble_size))
     starts = select_top_n(mbo, args.n_trajectories)
-    ens = train_ensemble(mbo, cfg.ensemble_size, replace(cfg.train, seed=cfg.task_seed))
+    ens = _train(mbo, cfg, cfg.task_seed)
     trajs = {alg: _ascend(starts, mbo.space, ens, cfg.ascent_config(alg, record=True), task.name, cfg.task_seed)
              for alg in cfg.algorithms}
     out = _out_dir(cfg)

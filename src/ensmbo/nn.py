@@ -134,6 +134,8 @@ def init_mlp(input_dim: int, hidden, rng: np.random.Generator) -> MlpModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings, unchecked: ``harness.ExperimentConfig`` checks them where they enter."""
+
     epochs: int = 40
     batch_size: int = 256
     learning_rate: float = 1e-3
@@ -141,14 +143,6 @@ class TrainConfig:
     seed: int = 0
     patience: int = 10
     hidden: tuple[int, ...] = (64, 64)
-
-    def __post_init__(self):
-        for name in ("epochs", "batch_size", "patience", "learning_rate"):  # named as a --config file sets them
-            if getattr(self, name) <= 0:
-                flag = " (--epochs)" if name == "epochs" else ""
-                raise ValueError(f"train.{name}{flag} must be positive, got {getattr(self, name)}")
-        if self.weight_decay < 0:
-            raise ValueError(f"train.weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass(eq=False)

@@ -339,19 +339,6 @@ def test_trajectory_csv_format(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# config validation
-# ---------------------------------------------------------------------------
-
-def test_ascent_config_validation():
-    with pytest.raises(ValueError):
-        AscentConfig(steps=-1, alpha=0.1)
-    with pytest.raises(ValueError):
-        AscentConfig(steps=1, alpha=0.0)
-    with pytest.raises(ValueError):
-        AscentConfig(steps=1, alpha=0.1, combiner=Combiner.CAGRAD, cagrad_c=1.0)
-
-
-# ---------------------------------------------------------------------------
 # convergence on an analytic concave ensemble
 # ---------------------------------------------------------------------------
 

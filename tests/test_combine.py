@@ -68,15 +68,6 @@ def test_solver_error_survives_pickling(residual):
     assert back.residual == residual
 
 
-def test_cagrad_config_range():
-    CagradConfig(0.0)
-    CagradConfig(0.99)
-    with pytest.raises(ValueError):
-        CagradConfig(1.0)
-    with pytest.raises(ValueError):
-        CagradConfig(-0.1)
-
-
 # ---------------------------------------------------------------------------
 # mean / min combiners
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ import struct
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from glob import glob
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ensmbo
 from ensmbo.core import (
@@ -526,7 +528,9 @@ def test_cli_error_exits_1(tmp_path, capsys):
     ("not json", "metadata sidecar {meta} is not JSON: Expecting value: line 1 column 1 (char 0)"),
     ("[1]", "metadata sidecar {meta} is not a JSON object"),
     ('{"kind": "discrete", "L": 2, "y_min_total": 0.0, "y_max_total": 1.0}', "metadata sidecar {meta} has no key 'V'"),
-], ids=["missing", "csv-is-a-directory", "not-json", "list", "no-V"])
+    ('{"kind": "discrete", "L": 2, "V": 2, "y_min_total": 1.0, "y_max_total": 1.0}',
+     "metadata sidecar {meta} needs y_min_total < y_max_total, got 1.0 and 1.0"),
+], ids=["missing", "csv-is-a-directory", "not-json", "list", "no-V", "constant-scores"])
 def test_csv_task_sidecar_fault_names_the_sidecar(sidecar, error, tmp_path, capsys, no_training):
     csv_path, meta_path, out = tmp_path / "a.csv", tmp_path / "a.meta.json", tmp_path / "out"
     if sidecar == "dir":
@@ -777,7 +781,6 @@ def test_ascent_failure_names_task_and_run_seed(tmp_path, capsys, monkeypatch):
 
 def test_every_flag_is_its_config_field():
     import argparse
-    from dataclasses import fields
 
     allowed = {f.name for f in fields(ExperimentConfig)} | {
         "help", "config", "epochs", "n_trajectories", "run_dir", "handler"}
@@ -909,9 +912,13 @@ def test_bad_size_names_its_flag_and_value_before_training(argv, error, tmp_path
     (["run"], {"run_seeds": ["a"]}, 'run_seeds must be a list of JSON integers, got ["a"]'),
     (["run"], {"steps": True}, "steps must be a JSON integer, got true"),
     (["run"], {"k_fraction": "0.5"}, 'k_fraction must be a JSON number, got "0.5"'),
-    (["run", "--alpha", "nan"], None, "alpha must be finite, got nan"),
-    (["run", "--alpha", "inf"], None, "alpha must be finite, got inf"),
-    (["tune", "--alpha", "nan"], None, "alpha must be finite, got nan"),
+    # explicit ids: the next three rows keep their earlier test names
+    pytest.param(["run", "--alpha", "nan"], None, "alpha (--alpha) must be finite, got nan",
+                 id="argv8-None-alpha must be finite, got nan"),
+    pytest.param(["run", "--alpha", "inf"], None, "alpha (--alpha) must be finite, got inf",
+                 id="argv9-None-alpha must be finite, got inf"),
+    pytest.param(["tune", "--alpha", "nan"], None, "alpha (--alpha) must be finite, got nan",
+                 id="argv10-None-alpha must be finite, got nan"),
     (["run", "--run-seeds", "1,-2"], None, "run_seeds (--run-seeds) must be non-negative, got -2"),
     (["run", "--seed", "-1"], None, "task_seed (--seed) must be non-negative, got -1"),
     (["gen-task", "--seed", "-1"], None, "task_seed (--seed) must be non-negative, got -1"),
@@ -938,6 +945,14 @@ def test_bad_size_names_its_flag_and_value_before_training(argv, error, tmp_path
     (["run"], {"train": {"weight_decay": -1e-3}}, "train.weight_decay must be >= 0, got -0.001"),
     (["run"], {"train": {"batch_size": 0}}, "train.batch_size must be positive, got 0"),
     (["run"], {"train": {"patience": 0}}, "train.patience must be positive, got 0"),
+    (["run"], {"train": {"learning_rate": float("nan")}}, "train.learning_rate must be finite, got nan"),
+    (["run"], {"train": {"learning_rate": float("inf")}}, "train.learning_rate must be finite, got inf"),
+    (["run"], {"train": {"weight_decay": float("nan")}}, "train.weight_decay must be finite, got nan"),
+    (["run"], {"train": {"weight_decay": float("inf")}}, "train.weight_decay must be finite, got inf"),
+    (["run", "--cagrad-c", "1"], None, "cagrad_c (--cagrad-c) must lie in [0, 1), got 1.0"),
+    (["run", "--cagrad-c", "-0.1"], None, "cagrad_c (--cagrad-c) must lie in [0, 1), got -0.1"),
+    (["run"], {"train": {"hidden": [0]}}, "train.hidden widths must be >= 1, got [0]"),
+    (["run"], {"train": {"hidden": [64, -1]}}, "train.hidden widths must be >= 1, got [64, -1]"),
 ])
 def test_bad_setting_is_named_before_the_task_is_built(argv, config, error, tmp_path, capsys, monkeypatch,
                                                       no_training):
@@ -954,6 +969,41 @@ def test_bad_setting_is_named_before_the_task_is_built(argv, config, error, tmp_
     assert cli_main(argv + ["--task", "bowl", "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {error}\n")
     assert not out.exists()
+
+
+TINY_RUN = ["run", "--steps", "2", "--n-candidates", "4"]
+
+
+@pytest.mark.parametrize("argv, config, error", [
+    (TINY_RUN + ["--alpha=1e300"], None,
+     "task bowl, run seed 0: scores must be finite for single's final designs at alpha (--alpha) 1e+300"),
+    (TINY_RUN + ["--alpha=1e154", "--steps=5"], None,  # each score is finite, their mean is not
+     "task bowl, run seed 0: scores must be finite for single's final designs at alpha (--alpha) 1e+154"),
+    (TINY_RUN + ["--alpha=1.7e308"], None,
+     "task bowl, run seed 0: trajectory 0 failed at step 0 (single): non-finite iterate at alpha (--alpha) 1.7e+308"),
+    (TINY_RUN, {"train": {"learning_rate": 1e300}}, "non-finite training loss at epoch 0, batch offset 256 "
+                                                   "at train.learning_rate 1e+300 and train.weight_decay 1e-06"),
+    (["train"], {"train": {"learning_rate": 1e300}}, "non-finite training loss at epoch 0, batch offset 256 "
+                                                    "at train.learning_rate 1e+300 and train.weight_decay 1e-06"),
+], ids=["score", "score-mean", "ascent", "run-training", "train-training"])
+def test_a_run_sent_beyond_float_range_names_the_setting(argv, config, error, tmp_path, capsys):
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "c.json")]
+    out = tmp_path / "out"
+    assert cli_main(argv + ["--task", "bowl", "--m", "2", "--epochs", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
+def test_only_experiment_config_checks_a_setting_and_names_its_flag():
+    from ensmbo.ascent import AscentConfig
+    from ensmbo.combine import CagradConfig
+
+    for record in (AscentConfig, TrainConfig, CagradConfig):
+        assert "__post_init__" not in vars(record), record.__name__
+    for path in sorted(Path(ensmbo.__file__).parent.glob("*.py")):
+        assert path.name == "harness.py" or "(--" not in path.read_text(encoding="utf-8"), path.name
 
 
 def test_every_setting_has_a_json_type_and_a_number_takes_an_integer():
@@ -987,3 +1037,135 @@ def test_only_the_mbo_set_normalizes_a_run(source, tmp_path):
     mean, std = stats_from_designs(mbo.designs)
     assert (mbo.space.mean.tobytes(), mbo.space.std.tobytes()) == (mean.tobytes(), std.tobytes())
     assert not np.array_equal(mbo.space.std, np.ones(space.dim))
+
+
+# ---------------------------------------------------------------------------
+# the command-line boundary, searched
+# ---------------------------------------------------------------------------
+
+HUGE = 10**12
+# Each setting a fuzzed run may draw: its flag (None: only a --config file sets
+# it), the type its flag parses, and the valid values a draw may take instead
+# of an edge.
+FUZZED = {
+    "k_fraction": ("--k", float, [0.5, 1.0]),
+    "ensemble_size": ("--m", int, [1, 2]),
+    "train.epochs": ("--epochs", int, [1]),
+    "steps": ("--steps", int, [0, 2]),
+    "n_candidates": ("--n-candidates", int, [1, 4]),
+    "alpha": ("--alpha", float, [0.05]),
+    "cagrad_c": ("--cagrad-c", float, [0.0, 0.5]),
+    "algorithms": ("--combiner", list, [["mean"], ["min", "mgda", "cagrad"]]),
+    "run_seeds": ("--run-seeds", list, [[1]]),
+    "train.batch_size": (None, int, [64]),
+    "train.patience": (None, int, [1]),
+    "train.learning_rate": (None, float, [0.01]),
+    "train.weight_decay": (None, float, [0.0]),
+    "train.hidden": (None, list, [[], [8]]),
+}
+EDGES = [0, -1, float("nan"), float("inf"), -float("inf"), 1.5, HUGE, 1e300, "empty", "repeat"]
+# A huge value of these costs work before anything refuses it: it is drawn
+# only beside one of REFUSED, which is refused before the task is built.
+COSTLY = {"steps", "train.epochs", "train.hidden"}
+REFUSED = ["--k=0", "--m=0", "--alpha=nan", "--cagrad-c=1.5", "--n-candidates=0"]
+
+
+def _flag_text(kind, value):
+    """The flag's text for ``value``, or None where the flag's argparse type
+    refuses it (exit 2, argparse's own usage error): such a value goes to the
+    config file instead."""
+    if kind is list:
+        ok = value and all(isinstance(v, str) or type(v) is int for v in value)
+        return ",".join(map(str, value)) if ok else None
+    if isinstance(value, list) or kind is int and type(value) is not int:
+        return None
+    return repr(value)
+
+
+def _csv_task_of(draw, tmp):
+    """A small CSV task: continuous or discrete, with constant, binary or spread scores."""
+    rng = np.random.default_rng(draw(st.integers(0, 3)))
+    rows = draw(st.sampled_from([1, 2, 40, 600, 3000]))
+    scores = {"constant": np.ones(rows), "binary": rng.integers(0, 2, rows).astype(float),
+              "spread": rng.standard_normal(rows)}[draw(st.sampled_from(["constant", "binary", "spread"]))]
+    if draw(st.booleans()):
+        space = DesignSpace.continuous(draw(st.integers(1, 4)))
+        designs = rng.standard_normal((rows, space.dim))
+    else:
+        space = DesignSpace.discrete(draw(st.integers(1, 3)), draw(st.integers(2, 4)))
+        designs = rng.integers(0, space.vocab, (rows, space.seq_len)).astype(space.token_dtype)
+    path = tmp / "task.csv"
+    write_dataset_csv(Dataset(space=space, designs=designs, scores=scores), path,
+                      float(scores.min()), float(scores.max()))
+    return str(path)
+
+
+@st.composite
+def _fuzzed_run(draw, tmp):
+    """argv of a tiny ``run`` with up to four settings drawn, and whether a
+    huge costly value makes it one that must be refused before training."""
+    task = "bowl" if draw(st.booleans()) else _csv_task_of(draw, tmp)
+    argv = ["run", "--task", task, "--out", str(tmp / "out"), "--m", "2", "--epochs", "1", "--steps", "2",
+            "--n-candidates", "4"]
+    config: dict = {}
+    costly = False
+    for name in draw(st.lists(st.sampled_from(sorted(FUZZED)), unique=True, max_size=4)):
+        flag, kind, valid = FUZZED[name]
+        edge = draw(st.sampled_from(EDGES + ["valid"] * len(EDGES)))  # half of the draws are valid
+        if kind is list:
+            element = draw(st.sampled_from(valid[-1])) if name == "algorithms" else 1
+            value = {"valid": draw(st.sampled_from(valid)), "empty": [], "repeat": [element, element]}.get(edge, [edge])
+        else:
+            value = {"valid": valid[0], "empty": [], "repeat": valid[-1]}.get(edge, edge)
+        costly |= name in COSTLY and HUGE in (value if kind is list else [value])
+        text = _flag_text(kind, value) if flag and draw(st.booleans()) else None
+        if text is not None:  # a scalar flag repeated: the last one given counts
+            argv += [f"{flag}={text}"] if edge != "repeat" or kind is list else [f"{flag}=0", f"{flag}={text}"]
+        elif name.startswith("train."):
+            config.setdefault("train", {})[name[len("train."):]] = value
+        else:
+            config[name] = value
+    if config:
+        (tmp / "c.json").write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(tmp / "c.json")]
+    if costly:
+        argv.append(draw(st.sampled_from(REFUSED)))
+    return argv, costly
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_every_run_ends_in_a_report_or_in_one_named_error(data, tmp_path_factory):
+    """A tiny ``run`` at any drawn settings exits 0 with strict JSON and a
+    report ``ensmbo report`` renders again byte for byte, or exits 1 with one
+    ``error:`` line that names a flag, a setting or a file, and writes no run
+    directory."""
+    import contextlib
+    import io
+
+    import ensmbo.harness as harness
+
+    tmp = tmp_path_factory.mktemp("fuzz")
+    argv, costly = data.draw(_fuzzed_run(tmp))
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        if costly:
+            mp.setattr(harness, "train_ensemble", lambda *a: pytest.fail(f"{argv} trained"))
+        code = cli_main(argv)
+    run_dirs = sorted((tmp / "out").glob("*"))
+    if code == 0:
+        (run_dir,) = run_dirs
+        _strict_json(run_dir / "results.json")
+        report = (run_dir / "report.md").read_bytes()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(["report", "--run-dir", str(run_dir)]) == 0
+        assert (run_dir / "report.md").read_bytes() == report
+        return
+    lines = err.getvalue().splitlines()
+    assert (code, len(lines)) == (1, 1), (argv, err.getvalue())
+    # a setting named bare, but for "task" and "train", which errors also use as plain words
+    setting = "|".join(f.name for f in fields(ExperimentConfig) if f.name not in ("task", "train"))
+    named = re.search(rf"--[a-z]|\btrain\.[a-z_]+|\b({setting})\b", lines[0]) or str(tmp) in lines[0]
+    assert lines[0].startswith("error: ") and named, (argv, lines[0])
+    assert run_dirs == [], argv
